@@ -54,6 +54,7 @@ from .lifshitz import (
     casimir_polder_energy,
     correction_factor,
     free_energy,
+    free_energy_batch,
     ideal_metal_integral,
     matsubara_integral,
     matsubara_zeta,
@@ -84,7 +85,7 @@ __all__ = [
     "ParseError", "UsageError", "ValidationError",
     "ComputationRequest", "FreeEnergyResult", "NumericalTolerances",
     "casimir_polder_energy", "correction_factor", "free_energy",
-    "ideal_metal_integral", "matsubara_integral", "matsubara_zeta",
+    "free_energy_batch", "ideal_metal_integral", "matsubara_integral", "matsubara_zeta",
     "normalized_free_energy", "reflection_par", "reflection_perp",
     "OscillatorSet", "StaticAlpha", "TabulatedAlpha", "alpha_iw",
     "fit_single_oscillator", "static_alpha",

@@ -11,7 +11,8 @@ Subcommands:
 Every command takes ``--out <path>`` (default stdout) and ``--format csv|json``
 (default from the config's output block).  Outputs are deterministic: the same
 config yields byte-identical bytes, and CSV files carry the config's SHA-256
-digest in a header comment.
+digest in a header comment.  The separations of one atom and wall model are
+evaluated as one ``free_energy_batch`` call, in a single thread.
 
 Exit codes: 0 success, 2 usage errors, 3 config/validation errors,
 4 numerical non-convergence.
@@ -21,15 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .constants import C_LIGHT, HBAR, K_B
 from .dataio import RunConfig, parse_run_config
-from .dielectric import TabulatedKK, eps_iw
+from .dielectric import eps_iw
 from .errors import (
     AtomWallError,
     ConfigError,
@@ -39,7 +36,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .lifshitz import ComputationRequest, _series_length_estimate, free_energy
+from .lifshitz import ComputationRequest, free_energy_batch
 from .polarizability import alpha_iw
 
 EXIT_OK = 0
@@ -66,40 +63,17 @@ def _require(config: RunConfig, *fields):
         raise ConfigError(f"config is missing required entries: {', '.join(missing)}")
 
 
-def _warm_walls(config: RunConfig, walls) -> None:
-    """Precompute tabulated-wall grids before any parallel evaluation.
-
-    Covers every Matsubara frequency the sweep can touch, so threaded rows
-    read one immutable grid and outputs stay deterministic.
-    """
-    a_min = float(config.separations[0])
-    T = config.temperature
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
-    tau_min = 4.0 * math.pi * K_B * T * a_min / (HBAR * C_LIGHT)
-    l_hi = _series_length_estimate(tau_min, config.tolerances.series_rel_tol,
-                                   config.tolerances.max_terms)
-    for wall in walls:
-        if isinstance(wall, TabulatedKK):
-            wall.precompute(xi1, xi1 * l_hi, config.kk_settings)
-
-
 def _evaluate_separations(config: RunConfig, atom, wall):
-    """free_energy over all configured separations, concurrently but ordered."""
-    requests = [
+    """Free energies at all configured separations, in order, as one batch."""
+    return free_energy_batch(
         ComputationRequest(atom=atom, wall=wall, a=float(a), T=config.temperature,
                            tol=config.tolerances)
         for a in config.separations
-    ]
-    workers = min(8, os.cpu_count() or 1, len(requests))
-    if workers <= 1:
-        return [free_energy(r) for r in requests]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(free_energy, requests))
+    )
 
 
 def cmd_energy(config: RunConfig, stream) -> None:
     _require(config, "atom", "wall", "separations", "temperature")
-    _warm_walls(config, [config.wall])
     results = _evaluate_separations(config, config.atom, config.wall)
     for a_nm, res in zip(config.separations_nm, results):
         fields = [
@@ -118,7 +92,6 @@ def cmd_energy(config: RunConfig, stream) -> None:
 
 def cmd_sweep(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "atom", "wall", "separations", "temperature")
-    _warm_walls(config, [config.wall])
     results = _evaluate_separations(config, config.atom, config.wall)
     rows = [
         SweepRow(a_nm=a_nm, free_energy=res.free_energy,
@@ -147,8 +120,6 @@ def cmd_table(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "atom", "wall", "separations", "temperature")
     if not config.variants:
         raise ConfigError("table command needs a reference block and at least one variant")
-    walls = [config.wall] + [v.wall for v in config.variants]
-    _warm_walls(config, walls)
     reference = _evaluate_separations(config, config.atom, config.wall)
     factor_columns = []
     for variant in config.variants:
@@ -190,8 +161,6 @@ def _dump_rows(config: RunConfig, values_of):
 
 def cmd_epsilon(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "wall", "grid")
-    if isinstance(config.wall, TabulatedKK):
-        config.wall.precompute(config.grid.xi_min, config.grid.xi_max, config.kk_settings)
     rows = _dump_rows(config, lambda xs: eps_iw(config.wall, xs, config.kk_settings))
     _emit_dump(config, stream, fmt, rows)
 

@@ -399,7 +399,7 @@ def _parse_tolerances(spec) -> NumericalTolerances:
 def _parse_kk(spec) -> KKSettings:
     if spec is None:
         return KKSettings()
-    known = {"rel_tol", "memoize_threshold", "grid_points_per_decade"}
+    known = {"rel_tol", "grid_points_per_decade"}
     unknown = set(spec) - known
     if unknown:
         raise ConfigError(f"unknown kk keys {sorted(unknown)}")
@@ -432,10 +432,7 @@ def serialize_run_config(config: RunConfig) -> dict:
         "max_terms": tol.max_terms, "consecutive_small": tol.consecutive_small,
     }
     kk = config.kk_settings
-    doc["kk"] = {
-        "rel_tol": kk.rel_tol, "memoize_threshold": kk.memoize_threshold,
-        "grid_points_per_decade": kk.grid_points_per_decade,
-    }
+    doc["kk"] = {"rel_tol": kk.rel_tol, "grid_points_per_decade": kk.grid_points_per_decade}
     doc["output"] = {"format": config.output_format}
     if config.output_path is not None:
         doc["output"]["path"] = config.output_path

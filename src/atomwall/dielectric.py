@@ -14,17 +14,18 @@ continuously at the last point.  The transform is integrated segment by
 segment with order-doubling Gauss-Legendre rules, the completions mostly in
 closed form.
 
-Because a Matsubara sum queries eps(i xi) at thousands of frequencies,
-tabulated models memoize their transform on a log-spaced grid (monotone
-PCHIP interpolation in log-log space), either on demand after a threshold
-number of distinct queries or eagerly through ``TabulatedKK.precompute``.
+``eps_iw`` always runs the transform.  A Matsubara sum queries eps(i xi) at
+thousands of frequencies, so it reads a tabulated wall through ``eps_grid``
+instead: the transform sampled on a log-spaced grid over [xi_lo, xi_hi]
+with monotone (PCHIP) interpolation in log-log space.  Grids are cached by
+(wall, xi_lo, xi_hi), so a grid never depends on which queries came before.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -44,14 +45,13 @@ class KKSettings:
     """Numerical controls for the dispersion-relation transform."""
 
     rel_tol: float = 1e-6
-    memoize_threshold: int = 64      # distinct xi queries before a grid is built
-    grid_points_per_decade: int = 16
+    grid_points_per_decade: int = 16  # density of the Matsubara-sum grid
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
             raise DomainError("KK rel_tol must lie in (0, 1e-2]")
-        if self.memoize_threshold < 1 or self.grid_points_per_decade < 2:
-            raise DomainError("invalid KK cache settings")
+        if self.grid_points_per_decade < 2:
+            raise DomainError("grid_points_per_decade must be at least 2")
 
 
 DEFAULT_KK_SETTINGS = KKSettings()
@@ -416,27 +416,33 @@ class NinhamParsegian:
 
 
 class _EpsGrid:
-    """Memoized eps(i xi) on a log grid with monotone log-log interpolation."""
+    """eps(i xi) of a tabulated wall on a log grid, monotone log-log interpolation.
 
-    def __init__(self, xi, values):
+    Frequencies outside the grid go through the direct transform.
+    """
+
+    def __init__(self, wall, xi, values):
+        self.wall = wall
         self.lo = float(xi[0])
         self.hi = float(xi[-1])
         self._interp = PchipInterpolator(
             np.log(xi), np.log(np.maximum(np.asarray(values) - 1.0, _TINY))
         )
 
-    def covers(self, lo, hi):
-        return self.lo <= lo and hi <= self.hi
-
     def __call__(self, xi):
-        return 1.0 + np.exp(self._interp(np.log(xi)))
+        xi = np.asarray(xi, dtype=float)
+        inside = (xi >= self.lo) & (xi <= self.hi)
+        out = np.empty_like(xi)
+        out[inside] = 1.0 + np.exp(self._interp(np.log(xi[inside])))
+        if not np.all(inside):
+            out[~inside] = self.wall.eps_iw(xi[~inside])
+        return out
 
 
 class TabulatedKK:
     """Wall permittivity reconstructed from tabulated optical constants.
 
-    Immutable in its physics; carries an internal, lock-protected memoization
-    grid so a Matsubara sum does not re-run the transform thousands of times.
+    Immutable: ``eps_iw`` runs the dispersion transform at every query.
     """
 
     def __init__(self, table: OpticalTable, kind: str,
@@ -459,35 +465,18 @@ class TabulatedKK:
         self.table = table
         self.kind = kind
         self.settings = settings
-        self._lock = threading.Lock()
-        self._grid: _EpsGrid | None = None
-        self._seen: set[float] = set()
 
     def _direct(self, xi: float, rel_tol: float) -> float:
         return 1.0 + (2.0 / math.pi) * kk_transform(self.table, xi, rel_tol)
 
-    def precompute(self, xi_lo: float, xi_hi: float, settings: KKSettings | None = None):
-        """Build (or extend) the memoization grid over [xi_lo, xi_hi]."""
-        s = settings or self.settings
-        if xi_lo <= 0.0 or xi_hi <= xi_lo:
-            raise DomainError("precompute needs 0 < xi_lo < xi_hi")
-        with self._lock:
-            if self._grid is not None and self._grid.covers(xi_lo, xi_hi):
-                return
-            if self._grid is not None:
-                xi_lo = min(xi_lo, self._grid.lo)
-                xi_hi = max(xi_hi, self._grid.hi)
-            self._grid = self._build_grid(xi_lo, xi_hi, s)
-
-    def _build_grid(self, lo, hi, s: KKSettings) -> _EpsGrid:
+    def _build_grid(self, lo: float, hi: float) -> _EpsGrid:
         decades = math.log10(hi / lo)
-        npts = max(8, int(math.ceil(decades * s.grid_points_per_decade)) + 1)
+        npts = max(8, int(math.ceil(decades * self.settings.grid_points_per_decade)) + 1)
         xs = np.geomspace(lo, hi, npts)
-        vals = np.array([self._direct(float(x), s.rel_tol) for x in xs])
-        return _EpsGrid(xs, vals)
+        return _EpsGrid(self, xs, self.eps_iw(xs))
 
     def eps_iw(self, xi, settings: KKSettings | None = None):
-        s = settings or self.settings
+        rel_tol = (settings or self.settings).rel_tol
         arr = np.asarray(xi, dtype=float)
         scalar = arr.ndim == 0
         flat = np.atleast_1d(arr).astype(float)
@@ -495,29 +484,16 @@ class TabulatedKK:
             raise DomainError("metal model undefined at xi <= 0; use f0 for the l=0 term")
         if np.any(flat < 0.0):
             raise DomainError("xi must be non-negative")
-        out = np.empty_like(flat)
-        grid = self._grid
-        if grid is not None:
-            onto = (flat >= grid.lo) & (flat <= grid.hi)
-        else:
-            onto = np.zeros(flat.shape, dtype=bool)
-        if np.any(onto):
-            out[onto] = grid(flat[onto])
-        rest = np.nonzero(~onto)[0]
-        for i in rest:
-            out[i] = self._direct(float(flat[i]), s.rel_tol)
-        if rest.size:
-            self._note_queries(flat[rest], s)
+        out = np.array([self._direct(float(x), rel_tol) for x in flat])
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
-    def _note_queries(self, values, s: KKSettings):
-        with self._lock:
-            self._seen.update(float(v) for v in values)
-            if self._grid is not None:
-                return
-            positive = [v for v in self._seen if v > 0.0]
-            if len(positive) > s.memoize_threshold:
-                self._grid = self._build_grid(min(positive), max(positive), s)
+
+@lru_cache(maxsize=16)
+def eps_grid(wall: TabulatedKK, xi_lo: float, xi_hi: float) -> _EpsGrid:
+    """The wall's eps(i xi) interpolated on [xi_lo, xi_hi], built once per key."""
+    if not 0.0 < xi_lo < xi_hi:
+        raise DomainError("eps_grid needs 0 < xi_lo < xi_hi")
+    return wall._build_grid(xi_lo, xi_hi)
 
 
 # ---------------------------------------------------------------------------

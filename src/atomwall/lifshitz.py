@@ -18,6 +18,13 @@ successive estimates agree; an ideal-metal wall instead uses the closed form
 int_zeta^inf 2 y^2 e^{-y} dy = 2 e^{-zeta} (zeta^2 + 2 zeta + 2).  The sum
 is truncated adaptively, since zeta_1 spans several orders of magnitude over
 the supported separation range.
+
+The frequencies xi_l = 2 pi k_B T l/hbar do not depend on the separation, so
+``free_energy_batch`` runs every separation of one atom, wall, temperature
+and tolerance set over a shared index l: blocks of l start at 1 with 64
+terms and double, eps(i xi_l) and alpha(i xi_l) are evaluated once per block,
+and each separation stops on its own truncation test.  ``free_energy`` is a
+batch of one, and a batch returns exactly what each request gives alone.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
-from .dielectric import IdealMetal, TabulatedKK, eps_iw, f0
+from .dielectric import IdealMetal, TabulatedKK, eps_grid, eps_iw, f0
 from .errors import ConvergenceError, DomainError, UsageError
 from .polarizability import TabulatedAlpha, alpha_iw, static_alpha
 from .quadrature import gauss_laguerre, gauss_legendre
@@ -39,7 +46,9 @@ HARD_RANGE = (1e-9, 1e-4)   # outside: reject
 
 _QUAD_START = 32
 _QUAD_CAP = 512
-_BLOCK = 512
+_TERMS_START = 64   # Matsubara terms in the first block; later blocks double
+_TERMS_CAP = 8192   # up to this size, which bounds the memory of one block
+_CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -145,11 +154,83 @@ def ideal_metal_integral(zeta):
 
 
 def _integrand_rows(eps_col, zeta_col, y):
-    """Integrand of the per-frequency integral without the e^{-y} weight."""
-    s = np.sqrt(y * y + zeta_col * zeta_col * (eps_col - 1.0))
-    r_par = (eps_col * y - s) / (eps_col * y + s)
-    r_perp = (s - y) / (s + y)
-    return (2.0 * y * y - zeta_col * zeta_col) * r_par + zeta_col * zeta_col * r_perp
+    """Integrand of the per-frequency integral without the e^{-y} weight.
+
+    The operations and their order are those of
+    (2y^2 - zeta^2) r_par + zeta^2 r_perp written out, so the bits are the
+    same; the full-size temporaries are reused in place to stay in cache.
+    """
+    zeta2 = zeta_col * zeta_col
+    s = y * y
+    s += zeta2 * (eps_col - 1.0)
+    np.sqrt(s, out=s)
+    ey = eps_col * y
+    r_par = ey - s
+    ey += s
+    r_par /= ey
+    r_perp = np.subtract(s, y, out=ey)
+    s += y
+    r_perp /= s
+    out = np.multiply(y, 2.0, out=s)
+    out *= y
+    out -= zeta2
+    out *= r_par
+    r_perp *= zeta2
+    out += r_perp
+    return out
+
+
+def _integrate_chunk(eps, zeta, rel_tol):
+    """Per-row order doubling for one chunk of rows; see _matsubara_integral_block."""
+    width = zeta * np.sqrt(np.maximum(eps - 1.0, 0.0))
+    split_at = np.where((width > 0.0) & (width < 1.0), np.minimum(2.0, 5.0 * width), 0.0)
+
+    def evaluate(rows, order):
+        eps_col = eps[rows, None]
+        zeta_col = zeta[rows, None]
+        T = split_at[rows]
+        t, w_lag = gauss_laguerre(order)
+        tail = _integrand_rows(eps_col, zeta_col, zeta_col + T[:, None] + t[None, :])
+        # einsum, unlike BLAS gemv, sums each row the same way wherever it sits
+        total = np.exp(-(zeta[rows] + T)) * np.einsum("ij,j->i", tail, w_lag)
+        panel_rows = np.nonzero(T > 0.0)[0]
+        if panel_rows.size:
+            x, w_leg = gauss_legendre(order)
+            half = 0.5 * T[panel_rows, None]
+            tt = half * (x[None, :] + 1.0)
+            g = _integrand_rows(eps_col[panel_rows], zeta_col[panel_rows],
+                                zeta_col[panel_rows] + tt)
+            g *= np.exp(-tt)
+            panel = half[:, 0] * np.einsum("ij,j->i", g, w_leg)
+            total[panel_rows] += np.exp(-zeta[rows][panel_rows]) * panel
+        return total
+
+    pending = np.arange(eps.size)
+    vals = evaluate(pending, _QUAD_START)
+    orders = np.empty(eps.size, dtype=int)
+    order = 2 * _QUAD_START
+    worst_delta = 0.0
+    while True:
+        new = evaluate(pending, order)
+        old = vals[pending]
+        delta = np.abs(new - old)
+        scale = np.maximum(np.abs(new), 1e-300)
+        vals[pending] = new
+        orders[pending] = order
+        converged = delta <= rel_tol * scale
+        if np.any(converged):
+            worst_delta = max(worst_delta, float((delta[converged] / scale[converged]).max()))
+        pending = pending[~converged]
+        if pending.size == 0:
+            return vals, np.where(split_at > 0.0, 2 * orders, orders), worst_delta
+        if order >= _QUAD_CAP:
+            raise ConvergenceError(
+                "per-frequency quadrature did not converge within the node budget",
+                order=order, unconverged=int(pending.size),
+                worst_rel_delta=float((delta[~converged] / scale[~converged]).max()),
+                zeta=zeta[pending][:8].tolist(), eps=eps[pending][:8].tolist(),
+            )
+        order *= 2
 
 
 def _matsubara_integral_block(eps, zeta, rel_tol):
@@ -161,60 +242,17 @@ def _matsubara_integral_block(eps, zeta, rel_tol):
     integrated as a Gauss-Legendre panel over [0, T] covering the feature
     plus a Gauss-Laguerre rule beyond T; otherwise pure Gauss-Laguerre is
     spectrally accurate.  Both pieces share one order that doubles until
-    successive composite estimates agree to ``rel_tol``.
+    successive composite estimates agree to ``rel_tol``.  Rows are taken in
+    chunks of ``_CHUNK``, and each row's value depends on that row alone.
 
-    Returns (values, max_nodes_used, max_final_rel_delta).
+    Returns (values, nodes used per row, max_final_rel_delta).
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    width = zeta * np.sqrt(np.maximum(eps - 1.0, 0.0))
-    split_at = np.where((width > 0.0) & (width < 1.0), np.minimum(2.0, 5.0 * width), 0.0)
-
-    def evaluate(rows, order):
-        eps_col = eps[rows, None]
-        zeta_col = zeta[rows, None]
-        T = split_at[rows]
-        t, w_lag = gauss_laguerre(order)
-        tail = _integrand_rows(eps_col, zeta_col, zeta_col + T[:, None] + t[None, :])
-        total = np.exp(-(zeta[rows] + T)) * (tail @ w_lag)
-        panel_rows = np.nonzero(T > 0.0)[0]
-        if panel_rows.size:
-            x, w_leg = gauss_legendre(order)
-            half = 0.5 * T[panel_rows, None]
-            tt = half * (x[None, :] + 1.0)
-            g = _integrand_rows(eps_col[panel_rows], zeta_col[panel_rows],
-                                zeta_col[panel_rows] + tt)
-            panel = (half[:, 0] * ((g * np.exp(-tt)) @ w_leg))
-            total[panel_rows] += np.exp(-zeta[rows][panel_rows]) * panel
-        return total
-
-    pending = np.arange(eps.size)
-    vals = evaluate(pending, _QUAD_START)
-    order = 2 * _QUAD_START
-    max_order = _QUAD_START
-    worst_delta = 0.0
-    while True:
-        new = evaluate(pending, order)
-        old = vals[pending]
-        delta = np.abs(new - old)
-        scale = np.maximum(np.abs(new), 1e-300)
-        vals[pending] = new
-        max_order = order
-        converged = delta <= rel_tol * scale
-        if np.any(converged):
-            worst_delta = max(worst_delta, float((delta[converged] / scale[converged]).max()))
-        pending = pending[~converged]
-        if pending.size == 0:
-            nodes = max_order * (2 if np.any(split_at > 0.0) else 1)
-            return vals, nodes, worst_delta
-        if order >= _QUAD_CAP:
-            raise ConvergenceError(
-                "per-frequency quadrature did not converge within the node budget",
-                order=order, unconverged=int(pending.size),
-                worst_rel_delta=float((delta[~converged] / scale[~converged]).max()),
-                zeta=zeta[pending][:8].tolist(), eps=eps[pending][:8].tolist(),
-            )
-        order *= 2
+    chunks = [_integrate_chunk(eps[i:i + _CHUNK], zeta[i:i + _CHUNK], rel_tol)
+              for i in range(0, eps.size, _CHUNK)]
+    vals, nodes, deltas = zip(*chunks)
+    return np.concatenate(vals), np.concatenate(nodes), max(deltas)
 
 
 def matsubara_integral(eps: float, zeta: float, quad_rel_tol: float = 1e-9) -> float:
@@ -248,104 +286,124 @@ def _series_length_estimate(tau: float, rel_tol: float, max_terms: int) -> int:
     return min(max_terms, int(math.ceil(x_stop / tau)) + 16)
 
 
-def free_energy(req: ComputationRequest) -> FreeEnergyResult:
-    """Evaluate the Matsubara free-energy sum for one request.
+def free_energy_batch(requests) -> list:
+    """Evaluate requests that share atom, wall, temperature and tolerances.
 
     The l = 0 term always uses f(0) with the metal/dielectric distinction
     (metal permittivities diverge at zero frequency, so eps(i xi) is never
-    queried there).  Terms l >= 1 are accumulated in blocks until the
-    estimated geometric tail of the series stays below ``series_rel_tol``
-    relative to the accumulated sum for ``consecutive_small`` consecutive
-    terms.
+    queried there).  Terms l >= 1 run in blocks of l shared by every
+    separation still summing; a separation stops once the estimated
+    geometric tail of its series stays below ``series_rel_tol`` relative to
+    its accumulated sum for ``consecutive_small`` consecutive terms.  Each
+    result equals ``free_energy`` of its request alone, in any order.
     """
-    atom, wall, a, T, tol = req.atom, req.wall, req.a, req.T, req.tol
-    warnings: list = []
-    if not (SOFT_RANGE[0] <= a <= SOFT_RANGE[1]):
-        warnings.append(
-            f"separation {a:g} m outside the trusted window "
-            f"[{SOFT_RANGE[0]:g}, {SOFT_RANGE[1]:g}] m"
-        )
+    requests = list(requests)
+    if not requests:
+        return []
+    atom, wall, T, tol = requests[0].atom, requests[0].wall, requests[0].T, requests[0].tol
+    if any((r.atom, r.wall, r.T, r.tol) != (atom, wall, T, tol) for r in requests):
+        raise UsageError("a batch needs one atom, wall, temperature and tolerance set")
+    warnings = [[] for _ in requests]
+    for w, r in zip(warnings, requests):
+        if not (SOFT_RANGE[0] <= r.a <= SOFT_RANGE[1]):
+            w.append(f"separation {r.a:g} m outside the trusted window "
+                     f"[{SOFT_RANGE[0]:g}, {SOFT_RANGE[1]:g}] m")
 
     alpha0 = static_alpha(atom)
-    prefactor = K_B * T / (8.0 * a ** 3)
     if alpha0 == 0.0:
-        warnings.append("static polarizability is zero; free energy vanishes")
-        return FreeEnergyResult(0.0, 0.0, 0.0, 0, 0, 0.0, warnings)
+        return [FreeEnergyResult(0.0, 0.0, 0.0, 0, 0, 0.0,
+                                 w + ["static polarizability is zero; free energy vanishes"])
+                for w in warnings]
+    bracket0 = 2.0 * alpha0 * f0(wall)
 
-    f0_wall = f0(wall)
-    bracket0 = 2.0 * alpha0 * f0_wall
-
-    tau = matsubara_zeta(1, a, T)
-    xi1 = tau * C_LIGHT / (2.0 * a)  # = 2 pi k_B T / hbar
+    tau = np.array([matsubara_zeta(1, r.a, T) for r in requests])
+    xi1 = 2.0 * math.pi * K_B * T / HBAR
     ideal = isinstance(wall, IdealMetal)
-
-    tail_before = getattr(atom, "tail_queries", 0)
+    grid = None
     if isinstance(wall, TabulatedKK):
-        l_hi = _series_length_estimate(tau, tol.series_rel_tol, tol.max_terms)
-        wall.precompute(xi1, xi1 * l_hi)
+        # one grid for every separation: it spans the longest series allowed
+        l_hi = _series_length_estimate(matsubara_zeta(1, HARD_RANGE[0], T),
+                                       tol.series_rel_tol, tol.max_terms)
+        grid = eps_grid(wall, xi1, xi1 * l_hi)
 
-    thermal_bracket = 0.0
-    n_terms = 0
-    max_nodes = 0
-    small_run = 0
-    prev_term = None
-    stopped = False
-
-    l = 1
-    while not stopped:
+    n = len(requests)
+    thermal = np.zeros(n)             # sum of the terms l >= 1 so far
+    n_terms = np.zeros(n, dtype=int)
+    max_nodes = np.zeros(n, dtype=int)
+    prev = np.full(n, np.nan)         # last term summed
+    small_run = np.zeros(n, dtype=int)
+    running = np.arange(n)
+    l, size = 1, _TERMS_START
+    while running.size:
         if l > tol.max_terms:
+            i = int(running[0])
             raise ConvergenceError(
                 "Matsubara sum not converged within max_terms",
-                max_terms=tol.max_terms, last_term=prev_term,
-                accumulated=bracket0 + thermal_bracket, a=a, T=T,
+                max_terms=tol.max_terms, last_term=float(prev[i]),
+                accumulated=float(bracket0 + thermal[i]), a=requests[i].a, T=T,
             )
-        ls = np.arange(l, min(l + _BLOCK, tol.max_terms + 1))
-        zetas = tau * ls
+        ls = np.arange(l, min(l + size, tol.max_terms + 1))
         xis = xi1 * ls
+        zetas = tau[running, None] * ls
         if ideal:
             integrals = ideal_metal_integral(zetas)
+            nodes = np.zeros(zetas.shape, dtype=int)
         else:
-            eps_l = np.atleast_1d(eps_iw(wall, xis))
-            integrals, nodes, _ = _matsubara_integral_block(eps_l, zetas, tol.quad_rel_tol)
-            max_nodes = max(max_nodes, nodes)
+            eps_l = np.broadcast_to(eps_iw(wall, xis) if grid is None else grid(xis),
+                                    zetas.shape)
+            flat, nodes, _ = _matsubara_integral_block(eps_l.ravel(), zetas.ravel(),
+                                                       tol.quad_rel_tol)
+            integrals, nodes = flat.reshape(zetas.shape), nodes.reshape(zetas.shape)
         terms = alpha_iw(atom, xis) * integrals
 
-        for value in terms:
-            value = float(value)
-            thermal_bracket += value
-            n_terms += 1
-            total = bracket0 + thermal_bracket
-            small = False
-            if value == 0.0:
-                small = True
-            elif prev_term is not None and prev_term > 0.0:
-                ratio = value / prev_term
-                if ratio < 1.0:
-                    tail = value * ratio / (1.0 - ratio)
-                    small = tail <= tol.series_rel_tol * total
-            small_run = small_run + 1 if small else 0
-            prev_term = value
-            if small_run >= tol.consecutive_small:
-                stopped = True
-                break
-        l = int(ls[-1]) + 1
+        # the per-term truncation test, one row per separation
+        sums = np.cumsum(np.column_stack([thermal[running], terms]), axis=1)[:, 1:]
+        before = np.column_stack([prev[running], terms[:, :-1]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = terms / before
+            tail = terms * ratio / (1.0 - ratio)
+        small = (terms == 0.0) | ((before > 0.0) & (ratio < 1.0)
+                                  & (tail <= tol.series_rel_tol * (bracket0 + sums)))
+        position = np.arange(1, ls.size + 1)
+        last_big = np.maximum.accumulate(np.where(small, 0, position), axis=1)
+        runs = position - last_big + np.where(last_big == 0, small_run[running, None], 0)
+        stops = runs >= tol.consecutive_small
+        stopped = stops.any(axis=1)
+        used = np.where(stopped, stops.argmax(axis=1) + 1, ls.size)
 
-    total_bracket = bracket0 + thermal_bracket
-    result_f = -prefactor * total_bracket
-    if isinstance(atom, TabulatedAlpha) and atom.tail_queries > tail_before:
-        warnings.append(
-            "polarizability table extrapolated beyond its last row (1/xi^2 tail)"
-        )
-    normalized = result_f / casimir_polder_energy(alpha0, a)
-    return FreeEnergyResult(
-        free_energy=result_f,
-        classical_term=-prefactor * bracket0,
-        thermal_term=-prefactor * thermal_bracket,
-        n_terms_used=n_terms,
-        max_quad_nodes=max_nodes,
-        normalized=normalized,
-        warnings=warnings,
-    )
+        rows, last = np.arange(running.size), used - 1
+        thermal[running] = sums[rows, last]
+        prev[running] = terms[rows, last]
+        small_run[running] = runs[rows, last]
+        n_terms[running] += used
+        summed_nodes = np.where(position <= used[:, None], nodes, 0).max(axis=1)
+        max_nodes[running] = np.maximum(max_nodes[running], summed_nodes)
+        running = running[~stopped]
+        l, size = int(ls[-1]) + 1, min(2 * size, _TERMS_CAP)
+
+    results = []
+    for i, req in enumerate(requests):
+        prefactor = K_B * T / (8.0 * req.a ** 3)
+        result_f = -prefactor * float(bracket0 + thermal[i])
+        if isinstance(atom, TabulatedAlpha) and xi1 * n_terms[i] > atom.xi[-1]:
+            warnings[i].append(
+                "polarizability table extrapolated beyond its last row (1/xi^2 tail)"
+            )
+        results.append(FreeEnergyResult(
+            free_energy=result_f,
+            classical_term=-prefactor * bracket0,
+            thermal_term=-prefactor * float(thermal[i]),
+            n_terms_used=int(n_terms[i]),
+            max_quad_nodes=int(max_nodes[i]),
+            normalized=result_f / casimir_polder_energy(alpha0, req.a),
+            warnings=warnings[i],
+        ))
+    return results
+
+
+def free_energy(req: ComputationRequest) -> FreeEnergyResult:
+    """Evaluate the Matsubara free-energy sum for one request (a batch of one)."""
+    return free_energy_batch([req])[0]
 
 
 def normalized_free_energy(req: ComputationRequest) -> float:

@@ -68,8 +68,7 @@ class TabulatedAlpha:
     """alpha(i xi) samples on an increasing xi grid that must start at xi = 0.
 
     Queries above the last row use a 1/xi^2 tail matched at that row (the
-    oscillator form forces that asymptote); such queries are counted in
-    ``tail_queries`` so callers can flag them.
+    oscillator form forces that asymptote).
     """
 
     def __init__(self, xi, alpha):
@@ -89,15 +88,12 @@ class TabulatedAlpha:
         self.alpha = alpha
         self._interp = PchipInterpolator(xi, alpha)
         self._tail_c = float(alpha[-1] * xi[-1] ** 2)
-        self.tail_queries = 0
 
     def __call__(self, xi):
         x = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.empty_like(x)
         above = x > self.xi[-1]
-        if np.any(above):
-            self.tail_queries += int(above.sum())
-            out[above] = self._tail_c / x[above] ** 2
+        out[above] = self._tail_c / x[above] ** 2
         out[~above] = self._interp(x[~above])
         return out
 

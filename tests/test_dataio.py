@@ -176,6 +176,13 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError):
             parse_run_config(path)
 
+    def test_kk_memoize_threshold_is_unknown(self, tmp_path):
+        path = minimal_config(tmp_path, kk={"rel_tol": 1e-6, "memoize_threshold": 64})
+        with pytest.raises(ConfigError, match="memoize_threshold"):
+            parse_run_config(path)
+        kk = {"rel_tol": 1e-6, "grid_points_per_decade": 32}
+        assert parse_run_config(minimal_config(tmp_path, kk=kk)).kk_settings.grid_points_per_decade == 32
+
     def test_metal_table_without_drude(self, tmp_path):
         f = tmp_path / "au.nk"
         write_drude_nk_file(f)

@@ -16,7 +16,7 @@ from atomwall import (
     eps_iw,
     f0,
 )
-from atomwall.dielectric import DIELECTRIC, METAL
+from atomwall.dielectric import DIELECTRIC, METAL, eps_grid
 
 from conftest import (
     NU,
@@ -201,22 +201,21 @@ class TestKKTransform:
             TabulatedKK(table, DIELECTRIC)
 
     def test_precomputed_grid_matches_direct(self, drude_table):
-        direct = TabulatedKK(drude_table, METAL)
-        gridded = TabulatedKK(drude_table, METAL)
-        gridded.precompute(1e13, 1e17)
+        wall = TabulatedKK(drude_table, METAL)
+        grid = eps_grid(wall, 1e13, 1e17)
         for xi in np.geomspace(2e13, 8e16, 17):
-            a = eps_iw(direct, float(xi))
-            b = eps_iw(gridded, float(xi))
+            a = eps_iw(wall, float(xi))
+            b = float(grid(xi))
             assert b == pytest.approx(a, rel=1e-4)
 
-    def test_auto_memoization_after_threshold(self, drude_table):
-        settings = KKSettings(memoize_threshold=10, grid_points_per_decade=12)
-        wall = TabulatedKK(drude_table, METAL, settings=settings)
-        for xi in np.geomspace(1e14, 1e16, 12):
+    def test_eps_iw_does_not_depend_on_earlier_queries(self, drude_table):
+        wall = TabulatedKK(drude_table, METAL)
+        before = eps_iw(wall, 3e15)
+        for xi in np.geomspace(1e14, 1e16, 70):  # more than 64 distinct queries
             eps_iw(wall, float(xi))
-        assert wall._grid is not None
-        # grid answers stay close to the analytic oracle
-        assert eps_iw(wall, 3e15) == pytest.approx(drude_eps_analytic(3e15), rel=1e-3)
+        assert eps_iw(wall, 3e15) == before
+        # the answer stays close to the analytic oracle
+        assert before == pytest.approx(drude_eps_analytic(3e15), rel=1e-3)
 
 
 MODELS_FOR_MONOTONICITY = [
@@ -236,11 +235,10 @@ def test_eps_iw_monotone_and_above_unity(model):
 
 def test_tabulated_eps_iw_monotone_and_above_unity(drude_table):
     wall = TabulatedKK(drude_table, METAL)
-    wall.precompute(1e13, 1e18)
     grid = np.geomspace(1e13, 1e18, 60)
-    values = eps_iw(wall, grid)
-    assert np.all(values >= 1.0)
-    assert np.all(np.diff(values) <= 0.0)
+    for values in (eps_iw(wall, grid), eps_grid(wall, 1e13, 1e18)(grid)):
+        assert np.all(values >= 1.0)
+        assert np.all(np.diff(values) <= 0.0)
 
 
 def test_f0_dielectrics_in_unit_interval():
@@ -273,11 +271,9 @@ def test_concurrent_queries_match_sequential(drude_table):
 
     xis = [float(x) for x in np.geomspace(2e13, 5e16, 48)]
     sequential_wall = TabulatedKK(drude_table, METAL)
-    sequential_wall.precompute(1e13, 1e17)
     expected = [eps_iw(sequential_wall, xi) for xi in xis]
 
     threaded_wall = TabulatedKK(drude_table, METAL)
-    threaded_wall.precompute(1e13, 1e17)
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda xi: eps_iw(threaded_wall, xi), xis))
     assert got == expected

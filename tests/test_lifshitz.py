@@ -233,6 +233,17 @@ class TestFreeEnergy:
         assert any("extrapolated" in w for w in res.warnings)
         assert res.free_energy < 0.0
 
+    def test_tabulated_alpha_no_tail_warning_inside_table(self):
+        from atomwall import OscillatorSet, TabulatedAlpha, alpha_iw
+        source = OscillatorSet((0.5935,), (ev_to_angular(1.18),))
+        xi = np.concatenate(([0.0], ev_to_angular(np.geomspace(1e-3, 1.0, 40))))
+        atom = TabulatedAlpha(xi, alpha_iw(source, xi))
+        res = free_energy(ComputationRequest(atom=atom, wall=Plasma(ev_to_angular(9.0)),
+                                             a=1e-5, T=300.0))
+        # 4 terms reach 0.650 eV, below the table's last row at 1 eV
+        assert res.n_terms_used == 4
+        assert not any("extrapolated" in w for w in res.warnings)
+
     def test_max_terms_exhaustion(self):
         from atomwall import ConvergenceError
         tol = NumericalTolerances(max_terms=5)
