@@ -19,12 +19,14 @@ int_zeta^inf 2 y^2 e^{-y} dy = 2 e^{-zeta} (zeta^2 + 2 zeta + 2).  The sum
 is truncated adaptively, since zeta_1 spans several orders of magnitude over
 the supported separation range.
 
-The frequencies xi_l = 2 pi k_B T l/hbar do not depend on the separation, so
-``free_energy_batch`` runs every separation of one atom, wall, temperature
-and tolerance set over a shared index l: blocks of l start at 1 with 64
-terms and double, eps(i xi_l) and alpha(i xi_l) are evaluated once per block,
-and each separation stops on its own truncation test.  ``free_energy`` is a
-batch of one, and a batch returns exactly what each request gives alone.
+The frequencies xi_l = 2 pi k_B T l/hbar do not depend on the separation,
+so ``free_energy_batch`` sums every separation of one atom, wall,
+temperature and tolerance set in shared rounds.  In each round a separation
+integrates its own next block of l: 64 terms first, then a block sized from
+its own last two terms, so few rows past its last term are integrated.
+eps(i xi_l) and alpha(i xi_l) are evaluated once per l of a round, and each
+separation stops on its own truncation test.  ``free_energy`` is a batch of
+one, and a batch returns exactly what each request gives alone.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ HARD_RANGE = (1e-9, 1e-4)   # outside: reject
 
 _QUAD_START = 32
 _QUAD_CAP = 512
-_TERMS_START = 64   # Matsubara terms in the first block; later blocks double
-_TERMS_CAP = 8192   # up to this size, which bounds the memory of one block
+_TERMS_START = 64   # terms in a first block; later blocks hold 128, 256, ... terms at most
+_TERMS_CAP = 8192   # the longest block, which bounds the memory of one round
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
 
 
@@ -100,18 +102,19 @@ class FreeEnergyResult:
     warnings: list
 
 
-def matsubara_zeta(l, a: float, T: float):
+def matsubara_zeta(l, a, T: float):
     """Dimensionless Matsubara frequency zeta_l = 4 pi l k_B T a/(hbar c).
 
     The matching physical frequency is zeta_l * w_c with w_c = c/(2a).
+    ``l`` or ``a`` may be an array.
     """
     l_arr = np.asarray(l)
     if np.any(l_arr < 0):
         raise DomainError("Matsubara index must be >= 0")
-    if a <= 0.0 or T <= 0.0:
+    if np.any(np.asarray(a) <= 0.0) or T <= 0.0:
         raise DomainError("separation and temperature must be positive")
     out = 4.0 * math.pi * l_arr * K_B * T * a / (HBAR * C_LIGHT)
-    return float(out) if np.isscalar(l) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _sqrt_term(eps, zeta, y):
@@ -280,10 +283,32 @@ def casimir_polder_energy(alpha0: float, a: float) -> float:
     return -3.0 * HBAR * C_LIGHT * alpha0 / (8.0 * math.pi * a ** 4)
 
 
-def _series_length_estimate(tau: float, rel_tol: float, max_terms: int) -> int:
-    """Upper estimate of the Matsubara index where truncation will trigger."""
-    x_stop = -math.log(rel_tol * min(tau, 1.0)) + 25.0
-    return min(max_terms, int(math.ceil(x_stop / tau)) + 16)
+def _series_length_estimate(tau, rel_tol: float, max_terms: int):
+    """Upper estimate of the Matsubara index where truncation will trigger, per zeta_1."""
+    x_stop = -np.log(rel_tol * np.minimum(tau, 1.0)) + 25.0
+    return np.minimum(max_terms, np.ceil(x_stop / tau).astype(int) + 16)
+
+
+def _next_block(n_terms, budget, last, ratio, accumulated, tol):
+    """Terms in the next block of each separation still summing.
+
+    The least of three limits, each from that separation's own history:
+    ``_TERMS_START`` more than its total so far (the doubling blocks 64,
+    128, 256, ... up to ``_TERMS_CAP``); the k terms its geometric tail
+    last * r^k * r/(1 - r), r the ratio of its last two terms, needs to
+    fall below ``series_rel_tol`` of the accumulated sum, with 15 % and
+    ``consecutive_small`` + 2 terms to spare; and what is left of its
+    series-length estimate (of ``max_terms`` once it is past the estimate).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.log(tol.series_rel_tol * accumulated * (1.0 - ratio) / (last * ratio)) / np.log(ratio)
+    # fmax sends a NaN k (r so small it underflows) to 0
+    k = np.where((last > 0.0) & (ratio < 1.0), np.minimum(np.fmax(1.15 * k, 0.0), _TERMS_CAP),
+                 _TERMS_CAP)
+    predicted = np.ceil(k).astype(int) + (tol.consecutive_small + 2)
+    remaining = np.where(budget > n_terms, budget, tol.max_terms) - n_terms
+    doubling = np.minimum(n_terms + _TERMS_START, _TERMS_CAP)
+    return np.minimum(np.minimum(doubling, predicted), remaining)
 
 
 def free_energy_batch(requests) -> list:
@@ -291,11 +316,13 @@ def free_energy_batch(requests) -> list:
 
     The l = 0 term always uses f(0) with the metal/dielectric distinction
     (metal permittivities diverge at zero frequency, so eps(i xi) is never
-    queried there).  Terms l >= 1 run in blocks of l shared by every
-    separation still summing; a separation stops once the estimated
-    geometric tail of its series stays below ``series_rel_tol`` relative to
-    its accumulated sum for ``consecutive_small`` consecutive terms.  Each
-    result equals ``free_energy`` of its request alone, in any order.
+    queried there).  Terms l >= 1 run in rounds; in each round every
+    separation still summing integrates its own next block of l (see
+    ``_next_block``), and eps(i xi) and alpha(i xi) are evaluated once per l
+    for all of them.  A separation stops once the estimated geometric tail
+    of its series stays below ``series_rel_tol`` relative to its accumulated
+    sum for ``consecutive_small`` consecutive terms.  Each result equals
+    ``free_energy`` of its request alone, in any order.
     """
     requests = list(requests)
     if not requests:
@@ -316,7 +343,8 @@ def free_energy_batch(requests) -> list:
                 for w in warnings]
     bracket0 = 2.0 * alpha0 * f0(wall)
 
-    tau = np.array([matsubara_zeta(1, r.a, T) for r in requests])
+    tau = matsubara_zeta(1, np.array([r.a for r in requests]), T)
+    budget = _series_length_estimate(tau, tol.series_rel_tol, tol.max_terms)
     xi1 = 2.0 * math.pi * K_B * T / HBAR
     ideal = isinstance(wall, IdealMetal)
     grid = None
@@ -324,37 +352,37 @@ def free_energy_batch(requests) -> list:
         # one grid for every separation: it spans the longest series allowed
         l_hi = _series_length_estimate(matsubara_zeta(1, HARD_RANGE[0], T),
                                        tol.series_rel_tol, tol.max_terms)
-        grid = eps_grid(wall, xi1, xi1 * l_hi)
+        grid = eps_grid(wall, xi1, float(xi1 * l_hi))
 
     n = len(requests)
     thermal = np.zeros(n)             # sum of the terms l >= 1 so far
     n_terms = np.zeros(n, dtype=int)
     max_nodes = np.zeros(n, dtype=int)
     prev = np.full(n, np.nan)         # last term summed
+    prev_ratio = np.full(n, np.nan)   # its ratio to the term before
     small_run = np.zeros(n, dtype=int)
+    block = np.minimum(_TERMS_START, budget)   # the first block of each separation
+    exhausted = np.zeros(n, dtype=bool)
     running = np.arange(n)
-    l, size = 1, _TERMS_START
     while running.size:
-        if l > tol.max_terms:
-            i = int(running[0])
-            raise ConvergenceError(
-                "Matsubara sum not converged within max_terms",
-                max_terms=tol.max_terms, last_term=float(prev[i]),
-                accumulated=float(bracket0 + thermal[i]), a=requests[i].a, T=T,
-            )
-        ls = np.arange(l, min(l + size, tol.max_terms + 1))
-        xis = xi1 * ls
-        zetas = tau[running, None] * ls
+        # one row per separation with its own block of l, padded at the end
+        start, length = n_terms[running] + 1, block[running]
+        position = np.arange(1, length.max() + 1)
+        pad = position > length[:, None]
+        ls = (start - 1)[:, None] + position
+        lo, hi = int(start.min()), int((start + length).max())
+        xis = xi1 * np.arange(lo, hi)      # every l of the round, once
         if ideal:
-            integrals = ideal_metal_integral(zetas)
-            nodes = np.zeros(zetas.shape, dtype=int)
+            terms = ideal_metal_integral(tau[running, None] * ls)
         else:
-            eps_l = np.broadcast_to(eps_iw(wall, xis) if grid is None else grid(xis),
-                                    zetas.shape)
-            flat, nodes, _ = _matsubara_integral_block(eps_l.ravel(), zetas.ravel(),
-                                                       tol.quad_rel_tol)
-            integrals, nodes = flat.reshape(zetas.shape), nodes.reshape(zetas.shape)
-        terms = alpha_iw(atom, xis) * integrals
+            eps_l = eps_iw(wall, xis) if grid is None else grid(xis)
+            held = ~pad
+            terms = np.zeros(ls.shape)
+            nodes = np.zeros(ls.shape, dtype=int)
+            terms[held], nodes[held], _ = _matsubara_integral_block(
+                eps_l[ls[held] - lo], (tau[running, None] * ls)[held], tol.quad_rel_tol)
+        terms *= np.take(alpha_iw(atom, xis), ls - lo, mode="clip")
+        terms[pad] = np.nan   # no truncation test below accepts the padding
 
         # the per-term truncation test, one row per separation
         sums = np.cumsum(np.column_stack([thermal[running], terms]), axis=1)[:, 1:]
@@ -364,22 +392,32 @@ def free_energy_batch(requests) -> list:
             tail = terms * ratio / (1.0 - ratio)
         small = (terms == 0.0) | ((before > 0.0) & (ratio < 1.0)
                                   & (tail <= tol.series_rel_tol * (bracket0 + sums)))
-        position = np.arange(1, ls.size + 1)
         last_big = np.maximum.accumulate(np.where(small, 0, position), axis=1)
         runs = position - last_big + np.where(last_big == 0, small_run[running, None], 0)
         stops = runs >= tol.consecutive_small
         stopped = stops.any(axis=1)
-        used = np.where(stopped, stops.argmax(axis=1) + 1, ls.size)
+        used = np.where(stopped, stops.argmax(axis=1) + 1, length)
 
         rows, last = np.arange(running.size), used - 1
         thermal[running] = sums[rows, last]
         prev[running] = terms[rows, last]
+        prev_ratio[running] = ratio[rows, last]
         small_run[running] = runs[rows, last]
         n_terms[running] += used
-        summed_nodes = np.where(position <= used[:, None], nodes, 0).max(axis=1)
-        max_nodes[running] = np.maximum(max_nodes[running], summed_nodes)
-        running = running[~stopped]
-        l, size = int(ls[-1]) + 1, min(2 * size, _TERMS_CAP)
+        if not ideal:
+            summed_nodes = np.where(position <= used[:, None], nodes, 0).max(axis=1)
+            max_nodes[running] = np.maximum(max_nodes[running], summed_nodes)
+        exhausted[running] = ~stopped & (n_terms[running] >= tol.max_terms)
+        running = running[~stopped & ~exhausted[running]]
+        block[running] = _next_block(n_terms[running], budget[running], prev[running],
+                                     prev_ratio[running], bracket0 + thermal[running], tol)
+    if exhausted.any():
+        i = int(np.argmax(exhausted))   # the first such request, in request order
+        raise ConvergenceError(
+            "Matsubara sum not converged within max_terms",
+            max_terms=tol.max_terms, last_term=float(prev[i]),
+            accumulated=float(bracket0 + thermal[i]), a=requests[i].a, T=T,
+        )
 
     results = []
     for i, req in enumerate(requests):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from atomwall import (
     ComputationRequest,
+    ConvergenceError,
     IdealMetal,
     NinhamParsegian,
     NumericalTolerances,
@@ -66,6 +67,44 @@ def test_batch_rejects_mixed_models(helium_like_atom):
     with pytest.raises(UsageError):
         free_energy_batch(mixed)
     assert free_energy_batch([]) == []
+
+
+def test_rows_integrated_stay_close_to_terms_summed(monkeypatch):
+    # each separation sizes its own blocks, so few rows past its last term are integrated
+    from atomwall import lifshitz
+
+    counted = []
+    block = lifshitz._matsubara_integral_block
+
+    def counting(eps, zeta, rel_tol):
+        counted.append(np.size(eps))
+        return block(eps, zeta, rel_tol)
+
+    monkeypatch.setattr(lifshitz, "_matsubara_integral_block", counting)
+    requests = [ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=float(a), T=300.0)
+                for a in np.geomspace(3e-9, 1e-5, 60)]
+    summed = sum(r.n_terms_used for r in free_energy_batch(requests))
+    assert sum(counted) <= 1.10 * summed
+
+
+def test_max_terms_exhaustion_names_first_request_in_order():
+    tol = NumericalTolerances(max_terms=100)
+    # 3 nm needs 1678 terms and 40 nm 229; 1 um and 10 um stop within 16
+    short, mid, far, farthest = [
+        ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
+        for a in (3e-9, 4e-8, 1e-6, 1e-5)
+    ]
+    with pytest.raises(ConvergenceError) as alone:
+        free_energy(short)
+    with pytest.raises(ConvergenceError) as err:
+        free_energy_batch([far, short, farthest])
+    assert err.value.diagnostics["a"] == 3e-9
+    assert err.value.diagnostics == alone.value.diagnostics
+    assert set(err.value.diagnostics) == {"max_terms", "last_term", "accumulated", "a", "T"}
+    for order in ([mid, short, far], [short, far, mid]):
+        with pytest.raises(ConvergenceError) as err:
+            free_energy_batch(order)
+        assert err.value.diagnostics["a"] == order[0].a
 
 
 def test_max_quad_nodes_covers_summed_rows(helium_like_atom):

@@ -1,0 +1,116 @@
+"""Pinned bits: free energies and CLI outputs must not change under refactors.
+
+The goldens were generated with numpy 2.4 on x86-64 with AVX-512.  numpy's
+float64 exp and log kernels depend on the CPU's SIMD level, so on another
+CPU a last-bit mismatch here, with the batch tests in ``test_batch.py``
+still passing, calls for regenerating the goldens rather than for a fix.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from atomwall import (
+    ComputationRequest,
+    IdealMetal,
+    NinhamParsegian,
+    OscillatorSet,
+    Plasma,
+    StaticAlpha,
+    TabulatedKK,
+    au_volume_to_si,
+    cli,
+    ev_to_angular,
+    free_energy,
+)
+from atomwall.dielectric import METAL
+
+from conftest import make_drude_table
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+WALLS = {
+    "plasma": lambda: Plasma(ev_to_angular(9.0)),
+    "ninham_parsegian": lambda: NinhamParsegian(((1.93, ev_to_angular(0.13)),
+                                                 (0.91, ev_to_angular(12.5)))),
+    "ideal_metal": IdealMetal,
+    "tabulated_drude": lambda: TabulatedKK(make_drude_table(), METAL),
+}
+ATOMS = {
+    "static": StaticAlpha(au_volume_to_si(315.63)),
+    "oscillator": OscillatorSet((0.5935,), (ev_to_angular(1.18),)),
+}
+
+# (wall, atom, a [m]) at 300 K: (free_energy.hex(), n_terms_used, max_quad_nodes)
+GOLDEN = {
+    ("plasma", "static", 3e-09): ("-0x1.e026896f5d412p-73", 3540, 128),
+    ("plasma", "static", 4e-08): ("-0x1.7b899864d2bddp-85", 318, 256),
+    ("plasma", "static", 1e-06): ("-0x1.b9d1717814796p-103", 17, 64),
+    ("plasma", "static", 1e-05): ("-0x1.0182a96ae0dc3p-114", 4, 64),
+    ("plasma", "oscillator", 3e-09): ("-0x1.4d031f9b02382p-75", 1678, 128),
+    ("plasma", "oscillator", 4e-08): ("-0x1.fea11b3040f17p-87", 229, 256),
+    ("plasma", "oscillator", 1e-06): ("-0x1.a8c62a089cba5p-103", 16, 64),
+    ("plasma", "oscillator", 1e-05): ("-0x1.017f90a0832aep-114", 4, 64),
+    ("ninham_parsegian", "static", 3e-09): ("-0x1.3e1f4606f41d1p-73", 3736, 256),
+    ("ninham_parsegian", "static", 4e-08): ("-0x1.3198ba85ee2fep-86", 339, 128),
+    ("ninham_parsegian", "static", 1e-06): ("-0x1.5195da3c1de2ep-104", 17, 64),
+    ("ninham_parsegian", "static", 1e-05): ("-0x1.2e32dd0f234dfp-115", 4, 64),
+    ("ninham_parsegian", "oscillator", 3e-09): ("-0x1.ff28e1cc6f52cp-77", 1927, 256),
+    ("ninham_parsegian", "oscillator", 4e-08): ("-0x1.79205bf314a1cp-88", 248, 128),
+    ("ninham_parsegian", "oscillator", 1e-06): ("-0x1.48fae68e0c717p-104", 16, 64),
+    ("ninham_parsegian", "oscillator", 1e-05): ("-0x1.2e2f3f12fda38p-115", 4, 64),
+    ("ideal_metal", "static", 3e-09): ("-0x1.494b697569433p-69", 5179, 0),
+    ("ideal_metal", "static", 4e-08): ("-0x1.5569a12aa77adp-84", 390, 0),
+    ("ideal_metal", "static", 1e-06): ("-0x1.c930d48f2fbcdp-103", 17, 0),
+    ("ideal_metal", "static", 1e-05): ("-0x1.0182b6420f517p-114", 4, 0),
+    ("ideal_metal", "oscillator", 3e-09): ("-0x1.87636c7763e1bp-75", 3318, 0),
+    ("ideal_metal", "oscillator", 4e-08): ("-0x1.259e2dc2fb019p-86", 292, 0),
+    ("ideal_metal", "oscillator", 1e-06): ("-0x1.b6ad425a15d58p-103", 16, 0),
+    ("ideal_metal", "oscillator", 1e-05): ("-0x1.017f9d3a69d0ap-114", 4, 0),
+    ("tabulated_drude", "static", 3e-09): ("-0x1.e0258dc2362bap-73", 3541, 128),
+    ("tabulated_drude", "static", 4e-08): ("-0x1.7b2823da80775p-85", 318, 256),
+    ("tabulated_drude", "static", 1e-06): ("-0x1.b8fe17c752a70p-103", 17, 64),
+    ("tabulated_drude", "static", 1e-05): ("-0x1.0182a83a3f239p-114", 4, 64),
+    ("tabulated_drude", "oscillator", 3e-09): ("-0x1.4ccd7263e2acbp-75", 1679, 128),
+    ("tabulated_drude", "oscillator", 4e-08): ("-0x1.fe35dd2de3793p-87", 229, 256),
+    ("tabulated_drude", "oscillator", 1e-06): ("-0x1.a7ff723812eb9p-103", 16, 64),
+    ("tabulated_drude", "oscillator", 1e-05): ("-0x1.017f8f758f46ap-114", 4, 64),
+}
+
+# (subcommand, bundled config, format): sha256 of the output file
+CLI_GOLDEN = {
+    ("alpha", "alpha_oscillators.json", "csv"): "3c89a8a31e81f398a6f7b359f19a178131b7dde759ed879db5fc3b13173011b6",
+    ("alpha", "alpha_oscillators.json", "json"): "c96dd20cad84f6a32987d52081f7b04c6dec18859e66e4a2463687c7cd39a32b",
+    ("energy", "energy_plasma_static.json", "csv"): "36ee8c285edfcf9752773e0467ef470751c7ad4e3bac5145efc4d63f29386a9c",
+    ("epsilon", "epsilon_ninham_parsegian.json", "csv"): "84b8f10b7f39a7319a4bd213f0340eefc6679a368f56ed519dae8fa9ab92e493",
+    ("epsilon", "epsilon_ninham_parsegian.json", "json"): "c6db6e701930dc41df54865139827c3f11514ea31ccf1e4c6809f456d534d5b5",
+    ("sweep", "sweep_normalized.json", "csv"): "6eac832a641768b50b901337d54481ee227556af64e9d3c945a4be8bd51a8da8",
+    ("sweep", "sweep_normalized.json", "json"): "095db52978d7de201da56e4dab026081905e2a92241bf72195f8e5c8fbf54665",
+}
+# the bundled config that reads tables shipped apart from the repository
+NEEDS_DATA = {"table_au_vs_models.json"}
+
+
+@pytest.mark.parametrize("wall_name", WALLS)
+def test_free_energy_bits(wall_name):
+    wall = WALLS[wall_name]()
+    for (name, atom_name, a), (f_hex, n_terms, nodes) in GOLDEN.items():
+        if name != wall_name:
+            continue
+        res = free_energy(ComputationRequest(atom=ATOMS[atom_name], wall=wall, a=a, T=300.0))
+        assert (res.free_energy.hex(), res.n_terms_used, res.max_quad_nodes) == \
+            (f_hex, n_terms, nodes), (atom_name, a)
+
+
+def test_every_bundled_config_is_pinned():
+    pinned = {name for _, name, _ in CLI_GOLDEN}
+    assert pinned | NEEDS_DATA == {p.name for p in CONFIGS.glob("*.json")}
+
+
+@pytest.mark.parametrize("command,name,fmt", list(CLI_GOLDEN))
+def test_cli_output_bytes(tmp_path, command, name, fmt):
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(CONFIGS / name), "--out", str(out),
+                     "--format", fmt]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_GOLDEN[command, name, fmt]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomwall import (
     CODATA,
@@ -55,9 +57,15 @@ class TestMatsubaraZeta:
                 2.0 * matsubara_zeta(l, 1e-8, 250.0), rel=1e-15
             )
 
+    def test_separation_array_matches_scalar_calls(self):
+        a = np.geomspace(1e-9, 1e-4, 37)
+        assert matsubara_zeta(1, a, 300.0).tolist() == [matsubara_zeta(1, x, 300.0) for x in a]
+
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             matsubara_zeta(-1, 1e-8, 300.0)
+        with pytest.raises(DomainError):
+            matsubara_zeta(1, np.array([1e-8, 0.0]), 300.0)
 
 
 class TestReflectionCoefficients:
@@ -88,6 +96,34 @@ class TestReflectionCoefficients:
         assert np.all(r_perp >= 0.0)
         assert np.all(r_perp <= r_par)
         assert np.all(r_par < 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # eps up to 1e12: far beyond any wall here (a 9 eV plasma at 300 K gives ~3e3)
+        eps=st.floats(1.0, 1e12),
+        zeta=st.one_of(st.just(0.0), st.floats(1e-8, 1e3)),
+        excess=st.floats(0.0, 1e3),
+    )
+    def test_bounds_property(self, eps, zeta, excess):
+        y = max(zeta + excess, 1e-8)
+        for r in (reflection_par(eps, zeta, y), reflection_perp(eps, zeta, y)):
+            assert 0.0 <= r < 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.floats(1.0, 1e8), st.floats(0.0, 1e3)),
+                      min_size=1, max_size=6),
+        t=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
+    )
+    def test_integrand_rows_is_the_written_out_integrand(self, rows, t):
+        from atomwall.lifshitz import _integrand_rows
+
+        eps_col, zeta_col = np.array(rows).T[:, :, None]
+        y = zeta_col + np.array(t)[None, :]
+        r_par = reflection_par(eps_col, zeta_col, y)
+        r_perp = reflection_perp(eps_col, zeta_col, y)
+        written_out = (2.0 * y * y - zeta_col ** 2) * r_par + zeta_col ** 2 * r_perp
+        assert np.array_equal(_integrand_rows(eps_col, zeta_col, y), written_out)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
