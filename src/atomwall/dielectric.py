@@ -12,7 +12,9 @@ eps''(w) = wp^2 nu / (w (w^2 + nu^2)) and a dielectric with a power law
 fitted to the first table segment, above it with a C/w^p tail matched
 continuously at the last point.  The transform is integrated segment by
 segment with order-doubling Gauss-Legendre rules, the completions mostly in
-closed form.
+closed form.  ``kk_transform`` takes one xi or an array of them: eps'' at the
+nodes of each rule is computed once per call, over all segments, and shared
+by every xi, while each xi doubles the order of its own segments.
 
 ``eps_iw`` always runs the transform.  A Matsubara sum queries eps(i xi) at
 thousands of frequencies, so it reads a tabulated wall through ``eps_grid``
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -143,7 +145,6 @@ def _segment_slopes(omega, values):
     v0, v1 = values[:-1], values[1:]
     w0, w1 = omega[:-1], omega[1:]
     loglog = (v0 > 0.0) & (v1 > 0.0)
-    slope = np.empty_like(v0)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope_ll = np.log(np.where(loglog, v1 / v0, 1.0)) / np.log(w1 / w0)
     slope_lin = (v1 - v0) / (w1 - w0)
@@ -151,15 +152,17 @@ def _segment_slopes(omega, values):
     return loglog, slope
 
 
-def _values_in_segments(omega_nodes, values, loglog, slope, om, seg):
-    """Interpolated optical constant at points ``om`` lying in segments ``seg``."""
-    w0 = omega_nodes[seg]
-    v0 = values[seg]
-    ll = loglog[seg]
-    s = slope[seg]
-    powered = v0 * np.exp(np.where(ll, s, 0.0) * np.log(om / w0))
-    linear = v0 + s * (om - w0)
-    return np.where(ll, powered, np.maximum(linear, 0.0))
+def _eps2_in_segments(table: OpticalTable, om, seg):
+    """eps'' = 2 n k at points ``om`` lying in table segments ``seg``."""
+    w0 = table.omega[seg]
+    log_ratio = np.log(om / w0)
+    out = 2.0
+    for values, (loglog, slope) in ((table.n, table._slope_n), (table.k, table._slope_k)):
+        v0, ll, s = values[seg], loglog[seg], slope[seg]
+        powered = v0 * np.exp(np.where(ll, s, 0.0) * log_ratio)
+        linear = v0 + s * (om - w0)
+        out = out * np.where(ll, powered, np.maximum(linear, 0.0))
+    return out
 
 
 def _eps2_below_range(table: OpticalTable, omega):
@@ -200,19 +203,13 @@ def eps_imag_part(table: OpticalTable, omega):
         seg = np.clip(
             np.searchsorted(table.omega, x, side="right") - 1, 0, table.omega.size - 2
         )
-        nn = _values_in_segments(table.omega, table.n, *_pair(table._slope_n), x, seg)
-        kk = _values_in_segments(table.omega, table.k, *_pair(table._slope_k), x, seg)
-        out[inside] = 2.0 * nn * kk
+        out[inside] = _eps2_in_segments(table, x, seg)
     if np.any(below):
         out[below] = _eps2_below_range(table, om[below])
     if np.any(above):
         out[above] = table.high_amplitude * om[above] ** (-table.high_exponent)
 
     return float(out[0]) if scalar else out
-
-
-def _pair(slopes):
-    return slopes[0], slopes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,10 @@ def _drude_low_contribution(low: DrudeLowFreq, V: float, xi: float) -> float:
     return low.omega_p ** 2 * low.nu * base
 
 
-def _powerlaw_low_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
-    """int_0^{w_min} of the fitted low-end power law against w/(w^2+xi^2)."""
+def _low_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
+    """int_0^{w_min} of the Drude or fitted power-law completion against w/(w^2+xi^2)."""
+    if table.low_ext is not None:
+        return _drude_low_contribution(table.low_ext, table.omega_min, xi)
     e0 = table._low_e0
     if e0 == 0.0:
         return 0.0
@@ -273,29 +272,33 @@ def _doubling_gl(f, lo, hi, rel_tol, start=16, cap=256):
         order *= 2
 
 
-def _eval_segments(table: OpticalTable, xi: float, order: int, idx):
-    """Per-segment Gauss-Legendre estimates of the in-range transform."""
-    lo = table.omega[idx]
-    hi = table.omega[idx + 1]
+def _segment_nodes(table: OpticalTable, order: int):
+    """Gauss-Legendre nodes of every table segment, eps'' there, half-widths, weights."""
+    lo, hi = table.omega[:-1], table.omega[1:]
     x, w = gauss_legendre(order)
     half = 0.5 * (hi - lo)
     om = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
-    seg = np.repeat(idx, order).reshape(len(idx), order)
-    nn = _values_in_segments(table.omega, table.n, *_pair(table._slope_n), om, seg)
-    kk = _values_in_segments(table.omega, table.k, *_pair(table._slope_k), om, seg)
-    f = om * (2.0 * nn * kk) / (om * om + xi * xi)
-    return half * (f @ w)
+    return om, _eps2_in_segments(table, om, np.arange(lo.size)[:, None]), half, w
 
 
-def _segments_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
-    """Adaptive per-segment integration over the tabulated range."""
+def _eval_segments(nodes, xi: float, idx):
+    """Per-segment Gauss-Legendre estimates of the in-range transform."""
+    om, e2, half, w = nodes
+    om = om[idx]
+    # one gemv per xi and order: a row's last bits depend on its matrix
+    f = om * e2[idx] / (om * om + xi * xi)
+    return half[idx] * (f @ w)
+
+
+def _segments_contribution(table: OpticalTable, xi: float, rel_tol: float, nodes) -> float:
+    """Adaptive per-segment integration; ``nodes(order)`` is ``_segment_nodes(table, order)``."""
     nseg = table.omega.size - 1
     idx = np.arange(nseg)
-    vals = _eval_segments(table, xi, 8, idx)
+    vals = _eval_segments(nodes(8), xi, idx)
     pending = idx
     order = 16
     while True:
-        new = _eval_segments(table, xi, order, pending)
+        new = _eval_segments(nodes(order), xi, pending)
         delta = np.abs(new - vals[pending])
         vals[pending] = new
         total = float(vals.sum())
@@ -343,17 +346,20 @@ def _tail_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
     return C * _doubling_gl(f, 0.0, 1.0, rel_tol)
 
 
-def kk_transform(table: OpticalTable, xi: float, rel_tol: float = 1e-6) -> float:
-    """int_0^inf w eps''(w)/(w^2 + xi^2) dw over table plus completions."""
-    if table.low_ext is not None:
-        if xi <= 0.0:
-            raise DomainError("Drude-completed transform requires xi > 0")
-        low = _drude_low_contribution(table.low_ext, table.omega_min, xi)
-    else:
-        low = _powerlaw_low_contribution(table, xi, rel_tol)
-    return low + _segments_contribution(table, xi, rel_tol) + _tail_contribution(
-        table, xi, rel_tol
-    )
+def kk_transform(table: OpticalTable, xi, rel_tol: float = 1e-6):
+    """int_0^inf w eps''(w)/(w^2 + xi^2) dw over table plus completions.
+
+    ``xi`` is a scalar or an array; the in-range node values of each
+    quadrature order are computed once per call and shared by every xi.
+    """
+    xs = np.asarray(xi, dtype=float)
+    if table.low_ext is not None and np.any(xs <= 0.0):
+        raise DomainError("Drude-completed transform requires xi > 0")
+    nodes = cache(partial(_segment_nodes, table))  # lives for this call only
+    out = np.array([_low_contribution(table, x, rel_tol)
+                    + _segments_contribution(table, x, rel_tol, nodes)
+                    + _tail_contribution(table, x, rel_tol) for x in map(float, xs.ravel())])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +472,6 @@ class TabulatedKK:
         self.kind = kind
         self.settings = settings
 
-    def _direct(self, xi: float, rel_tol: float) -> float:
-        return 1.0 + (2.0 / math.pi) * kk_transform(self.table, xi, rel_tol)
-
     def _build_grid(self, lo: float, hi: float) -> _EpsGrid:
         decades = math.log10(hi / lo)
         npts = max(8, int(math.ceil(decades * self.settings.grid_points_per_decade)) + 1)
@@ -476,16 +479,13 @@ class TabulatedKK:
         return _EpsGrid(self, xs, self.eps_iw(xs))
 
     def eps_iw(self, xi, settings: KKSettings | None = None):
-        rel_tol = (settings or self.settings).rel_tol
-        arr = np.asarray(xi, dtype=float)
-        scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr).astype(float)
-        if self.kind == METAL and np.any(flat <= 0.0):
+        xi = np.asarray(xi, dtype=float)
+        if self.kind == METAL and np.any(xi <= 0.0):
             raise DomainError("metal model undefined at xi <= 0; use f0 for the l=0 term")
-        if np.any(flat < 0.0):
+        if np.any(xi < 0.0):
             raise DomainError("xi must be non-negative")
-        out = np.array([self._direct(float(x), rel_tol) for x in flat])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        rel_tol = (settings or self.settings).rel_tol
+        return 1.0 + (2.0 / math.pi) * kk_transform(self.table, xi, rel_tol)
 
 
 @lru_cache(maxsize=16)
@@ -516,12 +516,11 @@ def eps_iw(model, xi, settings: KKSettings | None = None):
             "ideal metal has no finite permittivity; use the closed-form "
             "reflection branch instead"
         )
+    if isinstance(model, TabulatedKK):
+        return model.eps_iw(xi, settings)
     arr = np.asarray(xi, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float)
-
-    if isinstance(model, TabulatedKK):
-        return model.eps_iw(xi, settings)
 
     if model.kind == METAL and np.any(flat <= 0.0):
         raise DomainError("metal model undefined at xi <= 0; use f0 for the l=0 term")

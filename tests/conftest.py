@@ -1,9 +1,18 @@
 """Shared fixtures: synthetic material tables and a reference atom."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from atomwall import DrudeLowFreq, OpticalTable, OscillatorSet, ev_to_angular
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests' child
+# processes get it through PYTHONPATH, so a checkout needs no install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # Drude parameters used by every synthetic metal table in the suite
 WP = 1.37e16  # rad/s

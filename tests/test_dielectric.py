@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomwall import (
     ConfigError,
@@ -15,6 +17,7 @@ from atomwall import (
     eps_imag_part,
     eps_iw,
     f0,
+    kk_transform,
 )
 from atomwall.dielectric import DIELECTRIC, METAL, eps_grid
 
@@ -24,6 +27,8 @@ from conftest import (
     drude_eps_analytic,
     drude_nk,
     lorentz_eps_analytic,
+    make_drude_table,
+    make_lorentz_table,
 )
 
 
@@ -160,6 +165,11 @@ class TestEpsImagPart:
         assert eps_imag_part(drude_table, w_max) == pytest.approx(e_last, rel=1e-12)
 
 
+# module-level tables for the hypothesis test, which cannot take fixtures
+_DRUDE = make_drude_table()
+_LORENTZ = make_lorentz_table()
+
+
 class TestKKTransform:
     def test_drude_oracle(self, drude_table):
         wall = TabulatedKK(drude_table, METAL)
@@ -207,6 +217,27 @@ class TestKKTransform:
             a = eps_iw(wall, float(xi))
             b = float(grid(xi))
             assert b == pytest.approx(a, rel=1e-4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        metal=st.booleans(),
+        # log10 of xi in rad/s, below, across and above both tables
+        exponents=st.lists(st.floats(10.0, 19.0), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_array_transform_equals_one_call_per_frequency(self, metal, exponents, data):
+        table = _DRUDE if metal else _LORENTZ
+        xs = [10.0 ** e for e in exponents]
+        xs += data.draw(st.lists(st.sampled_from(xs), max_size=3))  # duplicates
+        if not metal:
+            xs.append(0.0)
+        xs = data.draw(st.permutations(xs))
+        got = kk_transform(table, np.array(xs))
+        assert [float(v).hex() for v in got] == [kk_transform(table, x).hex() for x in xs]
+
+    def test_scalar_transform_is_a_float(self, drude_table):
+        assert type(kk_transform(drude_table, 3e15)) is float
+        assert kk_transform(drude_table, np.array([3e15])).shape == (1,)
 
     def test_eps_iw_does_not_depend_on_earlier_queries(self, drude_table):
         wall = TabulatedKK(drude_table, METAL)

@@ -7,14 +7,18 @@ still passing, calls for regenerating the goldens rather than for a fix.
 """
 
 import hashlib
+import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atomwall import (
     ComputationRequest,
     IdealMetal,
     NinhamParsegian,
+    NumericalTolerances,
     OscillatorSet,
     Plasma,
     StaticAlpha,
@@ -24,9 +28,11 @@ from atomwall import (
     ev_to_angular,
     free_energy,
 )
-from atomwall.dielectric import METAL
+from atomwall.constants import AU_POLARIZABILITY, HBAR, K_B, OSCILLATOR_PREFACTOR
+from atomwall.dielectric import METAL, eps_grid
+from atomwall.lifshitz import HARD_RANGE, _series_length_estimate, matsubara_zeta
 
-from conftest import make_drude_table
+from conftest import drude_nk, make_drude_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,3 +120,83 @@ def test_cli_output_bytes(tmp_path, command, name, fmt):
     assert cli.main([command, "--config", str(CONFIGS / name), "--out", str(out),
                      "--format", fmt]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_GOLDEN[command, name, fmt]
+
+
+def _sum_grid_span(T, tol):
+    """The [xi_1, xi_1 * l_hi] span of the grid a Matsubara sum reads a tabulated wall through."""
+    l_hi = _series_length_estimate(matsubara_zeta(1, HARD_RANGE[0], T),
+                                   tol.series_rel_tol, tol.max_terms)
+    xi1 = 2.0 * math.pi * K_B * T / HBAR
+    return xi1, float(xi1 * l_hi)
+
+
+# eps_grid of TabulatedKK(make_drude_table(), METAL) over the span of a 300 K
+# sum at default tolerances, read at 150 log-spaced points of that span
+GRID_PROBES = 150
+GRID_GOLDEN_SHA256 = "75d978778419def33e1453b82e1a5b4cee585e96fb7714fd966c65ab93352c5c"
+GRID_GOLDEN = {0: "0x1.4072cc87e9230p+11", 37: "0x1.2a76c646ee1bap+4",
+               74: "0x1.1aaa08576d703p+0", 111: "0x1.0027c00504008p+0",
+               149: "0x1.00003382bf34cp+0"}
+
+
+def test_tabulated_sum_grid_bits():
+    lo, hi = _sum_grid_span(300.0, NumericalTolerances())
+    values = eps_grid(TabulatedKK(make_drude_table(), METAL), lo, hi)(
+        np.geomspace(lo, hi, GRID_PROBES))
+    hexes = [float(v).hex() for v in values]
+    assert {i: hexes[i] for i in GRID_GOLDEN} == GRID_GOLDEN
+    assert hashlib.sha256(",".join(hexes).encode()).hexdigest() == GRID_GOLDEN_SHA256
+
+
+def _write_tabulated_configs(directory: Path):
+    """epsilon and table configs on a 200-row Drude n,k table and a tabulated alpha."""
+    energy = np.geomspace(1e-3, 1e4, 200)
+    n, k = drude_nk(ev_to_angular(energy), ev_to_angular(9.0), ev_to_angular(0.035))
+    (directory / "metal_n_k.txt").write_text(
+        "".join(f"{float(e)!r} {float(a)!r} {float(b)!r}\n" for e, a, b in zip(energy, n, k)))
+    xi_eV = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 119)])
+    w = ev_to_angular(1.18)
+    alpha_au = (OSCILLATOR_PREFACTOR * 0.5935 / (w ** 2 + ev_to_angular(xi_eV) ** 2)
+                / AU_POLARIZABILITY)
+    (directory / "atom_alpha.txt").write_text(
+        "".join(f"{float(x)!r} {float(v)!r}\n" for x, v in zip(xi_eV, alpha_au)))
+    (directory / "atom_oscillator.txt").write_text("1.18 0.5935\n")
+    wall = {"model": "tabulated", "file": "metal_n_k.txt", "kind": "metal",
+            "drude": {"omega_p_eV": 9.0, "nu_eV": 0.035}}
+    docs = {
+        # below, across and above the table's 1e-3 to 1e4 eV
+        "epsilon": {"wall": wall,
+                    "grid": {"xi_min_eV": 1e-4, "xi_max_eV": 1e5, "points": 90}},
+        "table": {
+            "temperature_K": 300.0,
+            "separations_nm": {"log_range": [3.0, 10000.0, 12]},
+            "reference": {"atom": {"model": "tabulated_alpha", "file": "atom_alpha.txt"},
+                          "wall": wall},
+            "variants": [
+                {"label": "ideal_metal", "wall": {"model": "ideal_metal"}},
+                {"label": "single_oscillator",
+                 "atom": {"model": "oscillators", "file": "atom_oscillator.txt"}},
+                {"label": "plasma", "wall": {"model": "plasma", "omega_p_eV": 9.0}},
+            ],
+        },
+    }
+    for command, doc in docs.items():
+        (directory / f"{command}.json").write_text(json.dumps(doc, indent=1))
+
+
+# (subcommand, format): sha256 of the output on the configs written above
+TABULATED_CLI_GOLDEN = {
+    ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
+    ("epsilon", "json"): "a7b4a0347df72438198174c056d505c713f9208664989a32d20b4bc16f940402",
+    ("table", "csv"): "03f214bce8c0fdc334ea49745e447cad31561838fd1a8ab240516a0b2fa08bcc",
+    ("table", "json"): "f6f0d8c221bd7c71b22bfbc4e19502100fc755404b2bfa5be14a3fc0423dda27",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(TABULATED_CLI_GOLDEN))
+def test_tabulated_cli_output_bytes(tmp_path, command, fmt):
+    _write_tabulated_configs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(tmp_path / f"{command}.json"),
+                     "--out", str(out), "--format", fmt]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABULATED_CLI_GOLDEN[command, fmt]

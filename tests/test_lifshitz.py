@@ -10,16 +10,19 @@ from atomwall import (
     ComputationRequest,
     DomainError,
     IdealMetal,
+    NinhamParsegian,
     NumericalTolerances,
     Plasma,
     StaticAlpha,
     StaticPermittivity,
+    TabulatedKK,
     UsageError,
     au_volume_to_si,
     casimir_polder_energy,
     correction_factor,
     ev_to_angular,
     free_energy,
+    free_energy_batch,
     ideal_metal_integral,
     matsubara_integral,
     matsubara_zeta,
@@ -27,6 +30,8 @@ from atomwall import (
     reflection_par,
     reflection_perp,
 )
+
+from atomwall.dielectric import METAL
 
 ALPHA0 = au_volume_to_si(315.63)
 
@@ -360,3 +365,49 @@ class TestCorrectionFactor:
                                      a=6e-8, T=300.0)
         with pytest.raises(UsageError):
             correction_factor(ref, variant)
+
+
+def _series_tol_changes(atom, wall, separations, T=300.0):
+    """|F(series_rel_tol 1e-9) - F(1e-13)| / |F(1e-13)| per separation."""
+    def batch(series_rel_tol):
+        tol = NumericalTolerances(series_rel_tol=series_rel_tol)
+        return np.array([r.free_energy for r in free_energy_batch(
+            [ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol) for a in separations])])
+    loose, tight = batch(1e-9), batch(1e-13)
+    return np.abs(loose - tight) / np.abs(tight)
+
+
+class TestSeriesTolerance:
+    """A result at series_rel_tol 1e-9 against one at 1e-13.
+
+    Both known defects move bits when mended, so they stay recorded here.
+    """
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "series_rel_tol is overshot at 3 nm, 300 K with the (0.5935, 1.18 eV) "
+        "oscillator atom: |F(1e-9) - F(1e-13)|/|F| is 1.0047e-9 on the 9 eV plasma "
+        "wall and 1.0022e-9 on the Ninham-Parsegian wall"))
+    @pytest.mark.parametrize("wall", [
+        Plasma(ev_to_angular(9.0)),
+        NinhamParsegian(((1.93, ev_to_angular(0.13)), (0.91, ev_to_angular(12.5)))),
+    ], ids=["plasma", "ninham_parsegian"])
+    def test_series_rel_tol_holds_at_3nm(self, wall, helium_like_atom):
+        assert _series_tol_changes(helium_like_atom, wall, [3e-9])[0] <= 1e-9
+
+    def test_series_rel_tol_holds_on_plasma_static(self):
+        separations = [float(a) for a in np.geomspace(3e-9, 1e-5, 40)]
+        changes = _series_tol_changes(StaticAlpha(ALPHA0), Plasma(ev_to_angular(9.0)),
+                                      separations)
+        assert changes.max() <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a tabulated wall's grid spans [xi_1, xi_1 l_hi] with l_hi from "
+        "series_rel_tol, so tightening the tolerance moves every eps value by the "
+        "grid's interpolation error: with the static atom 26 of 40 separations "
+        "from 3 nm to 10 um move by more than 1e-9, worst 4.0e-9 (0 of 40 on the "
+        "plasma wall)"))
+    def test_series_rel_tol_holds_on_tabulated_wall(self, drude_table):
+        separations = [float(a) for a in np.geomspace(3e-9, 1e-5, 40)]
+        changes = _series_tol_changes(StaticAlpha(ALPHA0), TabulatedKK(drude_table, METAL),
+                                      separations)
+        assert changes.max() <= 1e-9
