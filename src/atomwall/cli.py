@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .dataio import RunConfig, parse_run_config
 from .dielectric import eps_iw
@@ -45,16 +44,22 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 
-@dataclass
-class SweepRow:
-    a_nm: float
-    free_energy: float  # J
-    normalized: float
-    n_terms: int
-
-
 def _fmt(value) -> str:
     return format(float(value), ".10g")
+
+
+def _emit(config: RunConfig, stream, fmt: str, columns, rows) -> None:
+    """Write ``rows`` under ``columns`` as JSON, or as CSV after the digest comment."""
+    if fmt == "json":
+        payload = {"config_sha256": config.digest,
+                   "rows": [dict(zip(columns, row)) for row in rows]}
+        json.dump(payload, stream, sort_keys=True, indent=2)
+        stream.write("\n")
+        return
+    print(f"# config_sha256={config.digest}", file=stream)
+    print(",".join(columns), file=stream)
+    for row in rows:
+        print(",".join(map(_fmt, row)), file=stream)
 
 
 def _require(config: RunConfig, *fields):
@@ -93,27 +98,9 @@ def cmd_energy(config: RunConfig, stream) -> None:
 def cmd_sweep(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "atom", "wall", "separations", "temperature")
     results = _evaluate_separations(config, config.atom, config.wall)
-    rows = [
-        SweepRow(a_nm=a_nm, free_energy=res.free_energy,
-                 normalized=res.normalized, n_terms=res.n_terms_used)
-        for a_nm, res in zip(config.separations_nm, results)
-    ]
-    if fmt == "json":
-        payload = {
-            "config_sha256": config.digest,
-            "rows": [
-                {"a_nm": r.a_nm, "free_energy_J": r.free_energy,
-                 "normalized": r.normalized, "n_terms": r.n_terms} for r in rows
-            ],
-        }
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
-        return
-    print(f"# config_sha256={config.digest}", file=stream)
-    print("a_nm,free_energy_J,normalized,n_terms", file=stream)
-    for r in rows:
-        print(f"{_fmt(r.a_nm)},{_fmt(r.free_energy)},{_fmt(r.normalized)},{r.n_terms}",
-              file=stream)
+    rows = [(a_nm, res.free_energy, res.normalized, res.n_terms_used)
+            for a_nm, res in zip(config.separations_nm, results)]
+    _emit(config, stream, fmt, ("a_nm", "free_energy_J", "normalized", "n_terms"), rows)
 
 
 def cmd_table(config: RunConfig, stream, fmt: str) -> None:
@@ -121,37 +108,13 @@ def cmd_table(config: RunConfig, stream, fmt: str) -> None:
     if not config.variants:
         raise ConfigError("table command needs a reference block and at least one variant")
     reference = _evaluate_separations(config, config.atom, config.wall)
-    factor_columns = []
-    for variant in config.variants:
-        variant_results = _evaluate_separations(config, variant.atom, variant.wall)
-        factors = []
-        for ref, var in zip(reference, variant_results):
-            if ref.free_energy == 0.0:
-                raise UsageError("reference free energy vanishes; factors undefined")
-            factors.append(var.free_energy / ref.free_energy)
-        factor_columns.append(factors)
-    labels = [v.label for v in config.variants]
-    if fmt == "json":
-        payload = {
-            "config_sha256": config.digest,
-            "rows": [
-                {
-                    "a_nm": a_nm,
-                    "abs_free_energy_ref_J": abs(ref.free_energy),
-                    **{label: col[i] for label, col in zip(labels, factor_columns)},
-                }
-                for i, (a_nm, ref) in enumerate(zip(config.separations_nm, reference))
-            ],
-        }
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
-        return
-    print(f"# config_sha256={config.digest}", file=stream)
-    print("a_nm,abs_free_energy_ref_J," + ",".join(labels), file=stream)
-    for i, (a_nm, ref) in enumerate(zip(config.separations_nm, reference)):
-        cells = [_fmt(a_nm), _fmt(abs(ref.free_energy))]
-        cells += [_fmt(col[i]) for col in factor_columns]
-        print(",".join(cells), file=stream)
+    if any(ref.free_energy == 0.0 for ref in reference):
+        raise UsageError("reference free energy vanishes; factors undefined")
+    variants = [_evaluate_separations(config, v.atom, v.wall) for v in config.variants]
+    rows = [(a_nm, abs(ref.free_energy), *(var.free_energy / ref.free_energy for var in row))
+            for a_nm, ref, *row in zip(config.separations_nm, reference, *variants)]
+    columns = ("a_nm", "abs_free_energy_ref_J", *(v.label for v in config.variants))
+    _emit(config, stream, fmt, columns, rows)
 
 
 def _dump_rows(config: RunConfig, values_of):
@@ -161,29 +124,14 @@ def _dump_rows(config: RunConfig, values_of):
 
 def cmd_epsilon(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "wall", "grid")
-    rows = _dump_rows(config, lambda xs: eps_iw(config.wall, xs, config.kk_settings))
-    _emit_dump(config, stream, fmt, rows)
+    rows = _dump_rows(config, lambda xs: eps_iw(config.wall, xs))
+    _emit(config, stream, fmt, ("xi_rad_s", "value"), rows)
 
 
 def cmd_alpha(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "atom", "grid")
     rows = _dump_rows(config, lambda xs: alpha_iw(config.atom, xs))
-    _emit_dump(config, stream, fmt, rows)
-
-
-def _emit_dump(config: RunConfig, stream, fmt: str, rows) -> None:
-    if fmt == "json":
-        payload = {
-            "config_sha256": config.digest,
-            "rows": [{"xi_rad_s": x, "value": v} for x, v in rows],
-        }
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
-        return
-    print(f"# config_sha256={config.digest}", file=stream)
-    print("xi_rad_s,value", file=stream)
-    for x, v in rows:
-        print(f"{_fmt(x)},{_fmt(v)}", file=stream)
+    _emit(config, stream, fmt, ("xi_rad_s", "value"), rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

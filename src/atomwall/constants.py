@@ -48,7 +48,6 @@ C_LIGHT = CODATA.c
 E_CHARGE = CODATA.e
 M_E = CODATA.m_e
 EPS0 = CODATA.eps0
-BOHR_RADIUS = CODATA.bohr_radius
 AU_POLARIZABILITY = CODATA.au_polarizability
 EV_TO_RAD_PER_S = CODATA.eV_to_rad_per_s
 

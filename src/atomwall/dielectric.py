@@ -31,10 +31,9 @@ from functools import cache, lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, ConvergenceError, DomainError, ValidationError
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, pchip
 
 METAL = "metal"
 DIELECTRIC = "dielectric"
@@ -249,7 +248,11 @@ def _low_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
     def f(om):
         return e0 * (om / V) ** p * om / (om * om + xi * xi)
 
-    return _doubling_gl(f, 0.0, V, rel_tol)
+    if xi >= V:
+        return _doubling_gl(f, 0.0, V, rel_tol)
+    # the knee at w = xi is resolved by [0, xi] in w plus [xi, V] in s = ln w
+    return _doubling_gl(f, 0.0, xi, rel_tol) + _doubling_gl(
+        lambda s: np.exp(s) * f(np.exp(s)), math.log(xi), math.log(V), rel_tol)
 
 
 def _doubling_gl(f, lo, hi, rel_tol, start=16, cap=256):
@@ -431,9 +434,7 @@ class _EpsGrid:
         self.wall = wall
         self.lo = float(xi[0])
         self.hi = float(xi[-1])
-        self._interp = PchipInterpolator(
-            np.log(xi), np.log(np.maximum(np.asarray(values) - 1.0, _TINY))
-        )
+        self._interp = pchip(np.log(xi), np.log(np.maximum(np.asarray(values) - 1.0, _TINY)))
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -478,14 +479,13 @@ class TabulatedKK:
         xs = np.geomspace(lo, hi, npts)
         return _EpsGrid(self, xs, self.eps_iw(xs))
 
-    def eps_iw(self, xi, settings: KKSettings | None = None):
+    def eps_iw(self, xi):
         xi = np.asarray(xi, dtype=float)
         if self.kind == METAL and np.any(xi <= 0.0):
             raise DomainError("metal model undefined at xi <= 0; use f0 for the l=0 term")
         if np.any(xi < 0.0):
             raise DomainError("xi must be non-negative")
-        rel_tol = (settings or self.settings).rel_tol
-        return 1.0 + (2.0 / math.pi) * kk_transform(self.table, xi, rel_tol)
+        return 1.0 + (2.0 / math.pi) * kk_transform(self.table, xi, self.settings.rel_tol)
 
 
 @lru_cache(maxsize=16)
@@ -500,10 +500,7 @@ def eps_grid(wall: TabulatedKK, xi_lo: float, xi_hi: float) -> _EpsGrid:
 # Dispatch operations
 # ---------------------------------------------------------------------------
 
-DielectricModel = (IdealMetal, Plasma, StaticPermittivity, NinhamParsegian, TabulatedKK)
-
-
-def eps_iw(model, xi, settings: KKSettings | None = None):
+def eps_iw(model, xi):
     """Permittivity at imaginary frequency for any finite-response wall model.
 
     Accepts scalar or array ``xi`` in rad/s.  Metal models require xi > 0
@@ -517,7 +514,7 @@ def eps_iw(model, xi, settings: KKSettings | None = None):
             "reflection branch instead"
         )
     if isinstance(model, TabulatedKK):
-        return model.eps_iw(xi, settings)
+        return model.eps_iw(xi)
     arr = np.asarray(xi, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float)
@@ -540,7 +537,7 @@ def eps_iw(model, xi, settings: KKSettings | None = None):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def f0(model, settings: KKSettings | None = None) -> float:
+def f0(model) -> float:
     """Zero-Matsubara-frequency reflection factor in [0, 1].
 
     1 for metals; (eps(0)-1)/(eps(0)+1) for dielectrics, with eps(0) taken
@@ -554,7 +551,7 @@ def f0(model, settings: KKSettings | None = None) -> float:
     elif isinstance(model, NinhamParsegian):
         e0 = model.eps_zero
     elif isinstance(model, TabulatedKK):
-        e0 = model.eps_iw(0.0, settings)
+        e0 = model.eps_iw(0.0)
     else:
         raise ConfigError(f"unknown dielectric model {type(model).__name__}")
     return (e0 - 1.0) / (e0 + 1.0)

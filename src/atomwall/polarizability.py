@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import OSCILLATOR_PREFACTOR
 from .errors import DomainError, ValidationError
+from .quadrature import pchip
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ class OscillatorSet:
             raise ValidationError("need equally many strengths and frequencies, at least one")
         if any(x <= 0.0 or not math.isfinite(x) for x in f + w):
             raise ValidationError("oscillator strengths and frequencies must be positive")
-
-    @classmethod
-    def from_entries(cls, entries):
-        """Build from (f_0n, omega_0n) pairs."""
-        f, w = zip(*entries)
-        return cls(tuple(f), tuple(w))
 
     @property
     def n_oscillators(self) -> int:
@@ -86,7 +80,7 @@ class TabulatedAlpha:
             raise ValidationError("alpha values must be non-increasing in xi")
         self.xi = xi
         self.alpha = alpha
-        self._interp = PchipInterpolator(xi, alpha)
+        self._interp = pchip(xi, alpha)
         self._tail_c = float(alpha[-1] * xi[-1] ** 2)
 
     def __call__(self, xi):
@@ -96,9 +90,6 @@ class TabulatedAlpha:
         out[above] = self._tail_c / x[above] ** 2
         out[~above] = self._interp(x[~above])
         return out
-
-
-PolarizabilityModel = (StaticAlpha, OscillatorSet, TabulatedAlpha)
 
 
 def alpha_iw(model, xi):

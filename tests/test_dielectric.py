@@ -19,7 +19,7 @@ from atomwall import (
     f0,
     kk_transform,
 )
-from atomwall.dielectric import DIELECTRIC, METAL, eps_grid
+from atomwall.dielectric import DIELECTRIC, METAL, _low_contribution, eps_grid
 
 from conftest import (
     NU,
@@ -234,6 +234,32 @@ class TestKKTransform:
         xs = data.draw(st.permutations(xs))
         got = kk_transform(table, np.array(xs))
         assert [float(v).hex() for v in got] == [kk_transform(table, x).hex() for x in xs]
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-9, 1e-12])
+    def test_low_completion_converges_far_below_table(self, lorentz_table, rel_tol):
+        # xi down to 1e-10 of the first row; one panel over [0, w_min] failed
+        # here with ConvergenceError from 1e10 to 1.6e10 rad/s
+        xs = np.concatenate([np.geomspace(1e10, 1.6e10, 7),
+                             np.geomspace(1e3, 0.99 * lorentz_table.omega_min, 25)])
+        assert np.all(np.isfinite(kk_transform(lorentz_table, xs, rel_tol)))
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_low_completion_matches_closed_form(self, rel_tol):
+        # eps'' = 2 n k linear in w at the first rows: the completion below
+        # the table is e0 w / w_min, whose transform is closed-form
+        omega = np.geomspace(1e13, 1e16, 40)
+        table = OpticalTable(omega, np.ones_like(omega), omega / 1e16)
+        e0, v = table._low_e0, table.omega_min
+        for xi in np.geomspace(1e3, 3e13, 30):
+            exact = e0 / v * (v - xi * np.arctan(v / xi))
+            assert _low_contribution(table, float(xi), rel_tol) == pytest.approx(
+                exact, rel=1e-13)
+
+    def test_low_completion_bits_at_and_above_table_start(self, lorentz_table):
+        # pinned before the split of [0, w_min] at xi below the table
+        got = kk_transform(lorentz_table, np.array([1e13, 3e14, 1e17]), 1e-9)
+        assert [float(v).hex() for v in got] == [
+            "0x1.1d68dfec61498p+2", "0x1.1b4adeb2fd7a9p+2", "0x1.4089811bf90d0p-3"]
 
     def test_scalar_transform_is_a_float(self, drude_table):
         assert type(kk_transform(drude_table, 3e15)) is float
