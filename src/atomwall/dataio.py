@@ -399,11 +399,11 @@ def _parse_tolerances(spec) -> NumericalTolerances:
 def _parse_kk(spec) -> KKSettings:
     if spec is None:
         return KKSettings()
-    known = {"rel_tol", "grid_points_per_decade"}
-    unknown = set(spec) - known
+    # grid_points_per_decade is accepted, for older configs, and has no effect
+    unknown = set(spec) - {"rel_tol", "grid_points_per_decade"}
     if unknown:
         raise ConfigError(f"unknown kk keys {sorted(unknown)}")
-    return KKSettings(**spec)
+    return KKSettings(**{k: v for k, v in spec.items() if k == "rel_tol"})
 
 
 def serialize_run_config(config: RunConfig) -> dict:
@@ -431,8 +431,7 @@ def serialize_run_config(config: RunConfig) -> dict:
         "series_rel_tol": tol.series_rel_tol, "quad_rel_tol": tol.quad_rel_tol,
         "max_terms": tol.max_terms, "consecutive_small": tol.consecutive_small,
     }
-    kk = config.kk_settings
-    doc["kk"] = {"rel_tol": kk.rel_tol, "grid_points_per_decade": kk.grid_points_per_decade}
+    doc["kk"] = {"rel_tol": config.kk_settings.rel_tol}
     doc["output"] = {"format": config.output_format}
     if config.output_path is not None:
         doc["output"]["path"] = config.output_path

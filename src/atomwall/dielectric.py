@@ -18,9 +18,11 @@ by every xi, while each xi doubles the order of its own segments.
 
 ``eps_iw`` always runs the transform.  A Matsubara sum queries eps(i xi) at
 thousands of frequencies, so it reads a tabulated wall through ``eps_grid``
-instead: the transform sampled on a log-spaced grid over [xi_lo, xi_hi]
-with monotone (PCHIP) interpolation in log-log space.  Grids are cached by
-(wall, xi_lo, xi_hi), so a grid never depends on which queries came before.
+instead: a Chebyshev interpolant of log(eps - 1) in log xi over
+[xi_lo, xi_hi] whose degree doubles until its last four coefficients sum to
+at most ``kk.rel_tol`` (eps - 1 is a Stieltjes function of xi^2, so they
+fall geometrically).  Interpolants are cached by (wall, xi_lo, xi_hi), and
+the wall carries ``kk.rel_tol``, so one never depends on earlier queries.
 """
 
 from __future__ import annotations
@@ -31,14 +33,17 @@ from functools import cache, lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebval
 
 from .errors import ConfigError, ConvergenceError, DomainError, ValidationError
-from .quadrature import gauss_legendre, pchip
+from .quadrature import gauss_legendre
 
 METAL = "metal"
 DIELECTRIC = "dielectric"
 
 _TINY = 1e-300
+_CHEB_START = 16   # degree of the first eps_grid interpolant; it doubles from here
+_CHEB_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -46,13 +51,10 @@ class KKSettings:
     """Numerical controls for the dispersion-relation transform."""
 
     rel_tol: float = 1e-6
-    grid_points_per_decade: int = 16  # density of the Matsubara-sum grid
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
             raise DomainError("KK rel_tol must lie in (0, 1e-2]")
-        if self.grid_points_per_decade < 2:
-            raise DomainError("grid_points_per_decade must be at least 2")
 
 
 DEFAULT_KK_SETTINGS = KKSettings()
@@ -424,28 +426,6 @@ class NinhamParsegian:
         return 1.0 + sum(c for c, _ in self.terms)
 
 
-class _EpsGrid:
-    """eps(i xi) of a tabulated wall on a log grid, monotone log-log interpolation.
-
-    Frequencies outside the grid go through the direct transform.
-    """
-
-    def __init__(self, wall, xi, values):
-        self.wall = wall
-        self.lo = float(xi[0])
-        self.hi = float(xi[-1])
-        self._interp = pchip(np.log(xi), np.log(np.maximum(np.asarray(values) - 1.0, _TINY)))
-
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        inside = (xi >= self.lo) & (xi <= self.hi)
-        out = np.empty_like(xi)
-        out[inside] = 1.0 + np.exp(self._interp(np.log(xi[inside])))
-        if not np.all(inside):
-            out[~inside] = self.wall.eps_iw(xi[~inside])
-        return out
-
-
 class TabulatedKK:
     """Wall permittivity reconstructed from tabulated optical constants.
 
@@ -473,23 +453,53 @@ class TabulatedKK:
         self.kind = kind
         self.settings = settings
 
-    def _build_grid(self, lo: float, hi: float) -> _EpsGrid:
-        decades = math.log10(hi / lo)
-        npts = max(8, int(math.ceil(decades * self.settings.grid_points_per_decade)) + 1)
-        xs = np.geomspace(lo, hi, npts)
-        return _EpsGrid(self, xs, self.eps_iw(xs))
+    def _build_grid(self, lo: float, hi: float):
+        """eps(i xi) on [lo, hi] from a Chebyshev interpolant of log(eps - 1) in ln xi.
 
-    def eps_iw(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == METAL and np.any(xi <= 0.0):
-            raise DomainError("metal model undefined at xi <= 0; use f0 for the l=0 term")
-        if np.any(xi < 0.0):
-            raise DomainError("xi must be non-negative")
-        return 1.0 + (2.0 / math.pi) * kk_transform(self.table, xi, self.settings.rel_tol)
+        The Chebyshev-Lobatto points cos(pi j/n) nest, so each doubling of n
+        transforms only the new points, in one call.  An error in log(eps - 1)
+        is a relative error in eps - 1.  Frequencies outside [lo, hi] go
+        through the direct transform.
+        """
+        mid, half = 0.5 * (math.log(hi) + math.log(lo)), 0.5 * (math.log(hi) - math.log(lo))
+
+        def log_eps1(x):
+            # eps - 1 straight from the transform, not as a difference that cancels
+            kk = kk_transform(self.table, np.exp(mid + half * x), self.settings.rel_tol)
+            return np.log(np.maximum((2.0 / math.pi) * kk, _TINY))
+
+        n = _CHEB_START
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        values = log_eps1(x)
+        while True:
+            coef = chebfit(x, values, n)
+            # the last four coefficients, not two: a pair can sit in a trough
+            estimate = float(np.abs(coef[-4:]).sum())
+            if estimate <= self.settings.rel_tol:
+                break
+            if n >= _CHEB_CAP:
+                raise ConvergenceError(
+                    "Chebyshev interpolant of eps(i xi) did not reach kk.rel_tol",
+                    degree=n, estimate=estimate, span=(lo, hi))
+            n *= 2
+            x = np.cos(np.pi * np.arange(n + 1) / n)
+            old, values = values, np.empty(n + 1)
+            values[0::2], values[1::2] = old, log_eps1(x[1::2])
+
+        def grid(xi):
+            xi = np.asarray(xi, dtype=float)
+            inside = (xi >= lo) & (xi <= hi)
+            out = np.empty_like(xi)
+            out[inside] = 1.0 + np.exp(chebval((np.log(xi[inside]) - mid) / half, coef))
+            if not np.all(inside):
+                out[~inside] = eps_iw(self, xi[~inside])
+            return out
+
+        return grid
 
 
 @lru_cache(maxsize=16)
-def eps_grid(wall: TabulatedKK, xi_lo: float, xi_hi: float) -> _EpsGrid:
+def eps_grid(wall: TabulatedKK, xi_lo: float, xi_hi: float):
     """The wall's eps(i xi) interpolated on [xi_lo, xi_hi], built once per key."""
     if not 0.0 < xi_lo < xi_hi:
         raise DomainError("eps_grid needs 0 < xi_lo < xi_hi")
@@ -513,8 +523,6 @@ def eps_iw(model, xi):
             "ideal metal has no finite permittivity; use the closed-form "
             "reflection branch instead"
         )
-    if isinstance(model, TabulatedKK):
-        return model.eps_iw(xi)
     arr = np.asarray(xi, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float)
@@ -532,6 +540,8 @@ def eps_iw(model, xi):
         out = np.ones_like(flat)
         for c, w in model.terms:
             out += c / (1.0 + (flat / w) ** 2)
+    elif isinstance(model, TabulatedKK):
+        out = 1.0 + (2.0 / math.pi) * kk_transform(model.table, flat, model.settings.rel_tol)
     else:
         raise ConfigError(f"unknown dielectric model {type(model).__name__}")
     return float(out[0]) if scalar else out.reshape(arr.shape)
@@ -551,7 +561,7 @@ def f0(model) -> float:
     elif isinstance(model, NinhamParsegian):
         e0 = model.eps_zero
     elif isinstance(model, TabulatedKK):
-        e0 = model.eps_iw(0.0)
+        e0 = eps_iw(model, 0.0)
     else:
         raise ConfigError(f"unknown dielectric model {type(model).__name__}")
     return (e0 - 1.0) / (e0 + 1.0)

@@ -51,6 +51,7 @@ _QUAD_CAP = 512
 _TERMS_START = 64   # terms in a first block; later blocks hold 128, 256, ... terms at most
 _TERMS_CAP = 8192   # the longest block, which bounds the memory of one round
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
+_SERIES_TOL_FLOOR = 1e-14   # the tightest series_rel_tol accepted
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class NumericalTolerances:
     consecutive_small: int = 3
 
     def __post_init__(self):
-        if not (1e-14 <= self.series_rel_tol < 1.0):
-            raise DomainError("series_rel_tol must lie in [1e-14, 1)")
+        if not (_SERIES_TOL_FLOOR <= self.series_rel_tol < 1.0):
+            raise DomainError(f"series_rel_tol must lie in [{_SERIES_TOL_FLOOR:g}, 1)")
         if not (0.0 < self.quad_rel_tol < 1.0):
             raise DomainError("quad_rel_tol must lie in (0, 1)")
         if self.max_terms < 1 or self.consecutive_small < 1:
@@ -283,10 +284,21 @@ def casimir_polder_energy(alpha0: float, a: float) -> float:
     return -3.0 * HBAR * C_LIGHT * alpha0 / (8.0 * math.pi * a ** 4)
 
 
-def _series_length_estimate(tau, rel_tol: float, max_terms: int):
+def _series_length_estimate(tau, rel_tol: float):
     """Upper estimate of the Matsubara index where truncation will trigger, per zeta_1."""
     x_stop = -np.log(rel_tol * np.minimum(tau, 1.0)) + 25.0
-    return np.minimum(max_terms, np.ceil(x_stop / tau).astype(int) + 16)
+    return np.ceil(x_stop / tau).astype(int) + 16
+
+
+def _sum_grid_span(T: float):
+    """[xi_1, xi_1 l_hi], where a sum at T reads a tabulated wall through eps_grid.
+
+    l_hi is the series-length estimate at the shortest supported separation
+    and the tightest accepted series_rel_tol, so the span depends on T alone.
+    """
+    xi1 = 2.0 * math.pi * K_B * T / HBAR
+    l_hi = _series_length_estimate(matsubara_zeta(1, HARD_RANGE[0], T), _SERIES_TOL_FLOOR)
+    return xi1, float(xi1 * l_hi)
 
 
 def _next_block(n_terms, budget, last, ratio, accumulated, tol):
@@ -344,15 +356,10 @@ def free_energy_batch(requests) -> list:
     bracket0 = 2.0 * alpha0 * f0(wall)
 
     tau = matsubara_zeta(1, np.array([r.a for r in requests]), T)
-    budget = _series_length_estimate(tau, tol.series_rel_tol, tol.max_terms)
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
+    budget = np.minimum(tol.max_terms, _series_length_estimate(tau, tol.series_rel_tol))
+    xi1, xi_top = _sum_grid_span(T)
     ideal = isinstance(wall, IdealMetal)
-    grid = None
-    if isinstance(wall, TabulatedKK):
-        # one grid for every separation: it spans the longest series allowed
-        l_hi = _series_length_estimate(matsubara_zeta(1, HARD_RANGE[0], T),
-                                       tol.series_rel_tol, tol.max_terms)
-        grid = eps_grid(wall, xi1, float(xi1 * l_hi))
+    grid = eps_grid(wall, xi1, xi_top) if isinstance(wall, TabulatedKK) else None
 
     n = len(requests)
     thermal = np.zeros(n)             # sum of the terms l >= 1 so far

@@ -1,7 +1,7 @@
 """Numerical helpers of the dielectric, polarizability and Lifshitz cores.
 
 Cached Gaussian quadrature rules, and ``pchip``, the monotone cubic
-interpolant that reads tabulated eps(i xi) grids and alpha(i xi) tables.
+interpolant that reads tabulated alpha(i xi).
 """
 
 from __future__ import annotations

@@ -180,8 +180,19 @@ class TestParseRunConfig:
         path = minimal_config(tmp_path, kk={"rel_tol": 1e-6, "memoize_threshold": 64})
         with pytest.raises(ConfigError, match="memoize_threshold"):
             parse_run_config(path)
-        kk = {"rel_tol": 1e-6, "grid_points_per_decade": 32}
-        assert parse_run_config(minimal_config(tmp_path, kk=kk)).kk_settings.grid_points_per_decade == 32
+
+    def test_kk_grid_points_per_decade_is_accepted_without_effect(self, tmp_path):
+        with_key = parse_run_config(minimal_config(
+            tmp_path, kk={"rel_tol": 1e-8, "grid_points_per_decade": 32}))
+        assert with_key.kk_settings == parse_run_config(
+            minimal_config(tmp_path, kk={"rel_tol": 1e-8})).kk_settings
+        doc = serialize_run_config(with_key)
+        assert doc["kk"] == {"rel_tol": 1e-8}
+        written = tmp_path / "written.json"
+        written.write_text(json.dumps(doc, indent=1))
+        again = parse_run_config(written)
+        assert again.kk_settings == with_key.kk_settings
+        assert serialize_run_config(again) == doc
 
     def test_metal_table_without_drude(self, tmp_path):
         f = tmp_path / "au.nk"

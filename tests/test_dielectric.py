@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from atomwall import (
     ConfigError,
+    ConvergenceError,
     DomainError,
     IdealMetal,
     KKSettings,
@@ -19,7 +22,9 @@ from atomwall import (
     f0,
     kk_transform,
 )
+from atomwall import dielectric
 from atomwall.dielectric import DIELECTRIC, METAL, _low_contribution, eps_grid
+from atomwall.lifshitz import _sum_grid_span
 
 from conftest import (
     NU,
@@ -273,6 +278,41 @@ class TestKKTransform:
         assert eps_iw(wall, 3e15) == before
         # the answer stays close to the analytic oracle
         assert before == pytest.approx(drude_eps_analytic(3e15), rel=1e-3)
+
+
+# the tables a Matsubara sum reads through eps_grid in the interpolant tests
+_SUM_TABLES = {"drude_200": (make_drude_table(200), METAL), "drude_500": (_DRUDE, METAL),
+               "lorentz": (_LORENTZ, DIELECTRIC)}
+
+
+@lru_cache(maxsize=None)
+def _sum_span_reference(table_name, T):
+    """300 log-spaced probes of the sum's span at T, and eps there at kk.rel_tol 1e-12."""
+    table, kind = _SUM_TABLES[table_name]
+    probes = np.geomspace(*_sum_grid_span(T), 300)
+    return probes, eps_iw(TabulatedKK(table, kind, KKSettings(rel_tol=1e-12)), probes)
+
+
+class TestSumInterpolant:
+    @pytest.mark.parametrize("T", [30.0, 300.0])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("table_name", list(_SUM_TABLES))
+    def test_meets_kk_rel_tol_over_the_sum_span(self, table_name, rel_tol, T):
+        table, kind = _SUM_TABLES[table_name]
+        probes, reference = _sum_span_reference(table_name, T)
+        grid = eps_grid(TabulatedKK(table, kind, KKSettings(rel_tol=rel_tol)),
+                        *_sum_grid_span(T))
+        assert np.max(np.abs(grid(probes) / reference - 1.0)) <= rel_tol
+
+    def test_degree_cap_raises_with_diagnostics(self, monkeypatch):
+        # degree 32 cannot carry 1e-12 over 12 decades
+        monkeypatch.setattr(dielectric, "_CHEB_CAP", 32)
+        wall = TabulatedKK(_DRUDE, METAL, KKSettings(rel_tol=1e-12))
+        with pytest.raises(ConvergenceError) as info:
+            eps_grid(wall, 1e7, 1e19)
+        assert info.value.diagnostics["degree"] == 32
+        assert info.value.diagnostics["estimate"] > 1e-12
+        assert info.value.diagnostics["span"] == (1e7, 1e19)
 
 
 MODELS_FOR_MONOTONICITY = [

@@ -8,7 +8,6 @@ still passing, calls for regenerating the goldens rather than for a fix.
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ from atomwall import (
     ComputationRequest,
     IdealMetal,
     NinhamParsegian,
-    NumericalTolerances,
     OscillatorSet,
     Plasma,
     StaticAlpha,
@@ -28,9 +26,9 @@ from atomwall import (
     ev_to_angular,
     free_energy,
 )
-from atomwall.constants import AU_POLARIZABILITY, HBAR, K_B, OSCILLATOR_PREFACTOR
+from atomwall.constants import AU_POLARIZABILITY, OSCILLATOR_PREFACTOR
 from atomwall.dielectric import METAL, eps_grid
-from atomwall.lifshitz import HARD_RANGE, _series_length_estimate, matsubara_zeta
+from atomwall.lifshitz import _sum_grid_span
 
 from conftest import drude_nk, make_drude_table
 
@@ -74,13 +72,13 @@ GOLDEN = {
     ("ideal_metal", "oscillator", 4e-08): ("-0x1.259e2dc2fb019p-86", 292, 0),
     ("ideal_metal", "oscillator", 1e-06): ("-0x1.b6ad425a15d58p-103", 16, 0),
     ("ideal_metal", "oscillator", 1e-05): ("-0x1.017f9d3a69d0ap-114", 4, 0),
-    ("tabulated_drude", "static", 3e-09): ("-0x1.e0258dc2362bap-73", 3541, 128),
-    ("tabulated_drude", "static", 4e-08): ("-0x1.7b2823da80775p-85", 318, 256),
-    ("tabulated_drude", "static", 1e-06): ("-0x1.b8fe17c752a70p-103", 17, 64),
+    ("tabulated_drude", "static", 3e-09): ("-0x1.e0258d834c99fp-73", 3541, 128),
+    ("tabulated_drude", "static", 4e-08): ("-0x1.7b2823b3c9dc4p-85", 318, 256),
+    ("tabulated_drude", "static", 1e-06): ("-0x1.b8fe18892a592p-103", 17, 64),
     ("tabulated_drude", "static", 1e-05): ("-0x1.0182a83a3f239p-114", 4, 64),
-    ("tabulated_drude", "oscillator", 3e-09): ("-0x1.4ccd7263e2acbp-75", 1679, 128),
-    ("tabulated_drude", "oscillator", 4e-08): ("-0x1.fe35dd2de3793p-87", 229, 256),
-    ("tabulated_drude", "oscillator", 1e-06): ("-0x1.a7ff723812eb9p-103", 16, 64),
+    ("tabulated_drude", "oscillator", 3e-09): ("-0x1.4ccd72680b6c8p-75", 1679, 128),
+    ("tabulated_drude", "oscillator", 4e-08): ("-0x1.fe35dd4c4e669p-87", 229, 256),
+    ("tabulated_drude", "oscillator", 1e-06): ("-0x1.a7ff72e610493p-103", 16, 64),
     ("tabulated_drude", "oscillator", 1e-05): ("-0x1.017f8f758f46ap-114", 4, 64),
 }
 
@@ -122,25 +120,17 @@ def test_cli_output_bytes(tmp_path, command, name, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_GOLDEN[command, name, fmt]
 
 
-def _sum_grid_span(T, tol):
-    """The [xi_1, xi_1 * l_hi] span of the grid a Matsubara sum reads a tabulated wall through."""
-    l_hi = _series_length_estimate(matsubara_zeta(1, HARD_RANGE[0], T),
-                                   tol.series_rel_tol, tol.max_terms)
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
-    return xi1, float(xi1 * l_hi)
-
-
 # eps_grid of TabulatedKK(make_drude_table(), METAL) over the span of a 300 K
-# sum at default tolerances, read at 150 log-spaced points of that span
+# sum, read at 150 log-spaced points of that span
 GRID_PROBES = 150
-GRID_GOLDEN_SHA256 = "75d978778419def33e1453b82e1a5b4cee585e96fb7714fd966c65ab93352c5c"
-GRID_GOLDEN = {0: "0x1.4072cc87e9230p+11", 37: "0x1.2a76c646ee1bap+4",
-               74: "0x1.1aaa08576d703p+0", 111: "0x1.0027c00504008p+0",
-               149: "0x1.00003382bf34cp+0"}
+GRID_GOLDEN_SHA256 = "a60005512a2ef73c86617202a143638424d0d50236b6ddf893e1e9ec18a5509d"
+GRID_GOLDEN = {0: "0x1.4072cc87e9221p+11", 37: "0x1.1003a3315a70bp+4",
+               74: "0x1.15dfe5fb95f76p+0", 111: "0x1.001d881ece098p+0",
+               149: "0x1.000022912c66cp+0"}
 
 
 def test_tabulated_sum_grid_bits():
-    lo, hi = _sum_grid_span(300.0, NumericalTolerances())
+    lo, hi = _sum_grid_span(300.0)
     values = eps_grid(TabulatedKK(make_drude_table(), METAL), lo, hi)(
         np.geomspace(lo, hi, GRID_PROBES))
     hexes = [float(v).hex() for v in values]
@@ -188,8 +178,8 @@ def _write_tabulated_configs(directory: Path):
 TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "a7b4a0347df72438198174c056d505c713f9208664989a32d20b4bc16f940402",
-    ("table", "csv"): "03f214bce8c0fdc334ea49745e447cad31561838fd1a8ab240516a0b2fa08bcc",
-    ("table", "json"): "f6f0d8c221bd7c71b22bfbc4e19502100fc755404b2bfa5be14a3fc0423dda27",
+    ("table", "csv"): "2b82542a61dcb969682d300bdb5579d8ba200fca3de0f08917f974a5cebad3ec",
+    ("table", "json"): "2d74c2bcf5f1a639df28aaeff97b8fc918278bdca1131606267d977604ca53ed",
 }
 
 

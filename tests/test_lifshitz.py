@@ -378,10 +378,7 @@ def _series_tol_changes(atom, wall, separations, T=300.0):
 
 
 class TestSeriesTolerance:
-    """A result at series_rel_tol 1e-9 against one at 1e-13.
-
-    Both known defects move bits when mended, so they stay recorded here.
-    """
+    """A result at series_rel_tol 1e-9 against one at 1e-13."""
 
     @pytest.mark.xfail(strict=True, reason=(
         "series_rel_tol is overshot at 3 nm, 300 K with the (0.5935, 1.18 eV) "
@@ -400,12 +397,6 @@ class TestSeriesTolerance:
                                       separations)
         assert changes.max() <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a tabulated wall's grid spans [xi_1, xi_1 l_hi] with l_hi from "
-        "series_rel_tol, so tightening the tolerance moves every eps value by the "
-        "grid's interpolation error: with the static atom 26 of 40 separations "
-        "from 3 nm to 10 um move by more than 1e-9, worst 4.0e-9 (0 of 40 on the "
-        "plasma wall)"))
     def test_series_rel_tol_holds_on_tabulated_wall(self, drude_table):
         separations = [float(a) for a in np.geomspace(3e-9, 1e-5, 40)]
         changes = _series_tol_changes(StaticAlpha(ALPHA0), TabulatedKK(drude_table, METAL),
