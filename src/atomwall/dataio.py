@@ -384,15 +384,14 @@ def parse_run_config(path) -> RunConfig:
 def _parse_tolerances(spec) -> NumericalTolerances:
     if spec is None:
         return NumericalTolerances()
-    known = {"series_rel_tol", "quad_rel_tol", "max_terms", "consecutive_small"}
-    unknown = set(spec) - known
+    # consecutive_small is accepted, for older configs, and has no effect
+    unknown = set(spec) - {"series_rel_tol", "quad_rel_tol", "max_terms", "consecutive_small"}
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
     return NumericalTolerances(
         series_rel_tol=float(spec.get("series_rel_tol", 1e-9)),
         quad_rel_tol=float(spec.get("quad_rel_tol", 1e-9)),
         max_terms=int(spec.get("max_terms", 10 ** 6)),
-        consecutive_small=int(spec.get("consecutive_small", 3)),
     )
 
 
@@ -429,7 +428,7 @@ def serialize_run_config(config: RunConfig) -> dict:
     tol = config.tolerances
     doc["tolerances"] = {
         "series_rel_tol": tol.series_rel_tol, "quad_rel_tol": tol.quad_rel_tol,
-        "max_terms": tol.max_terms, "consecutive_small": tol.consecutive_small,
+        "max_terms": tol.max_terms,
     }
     doc["kk"] = {"rel_tol": config.kk_settings.rel_tol}
     doc["output"] = {"format": config.output_format}

@@ -53,8 +53,9 @@ class KKSettings:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-2):
-            raise DomainError("KK rel_tol must lie in (0, 1e-2]")
+        # below 1e-14 the per-segment quadrature stalls on rounding
+        if not (1e-14 <= self.rel_tol <= 1e-2):
+            raise DomainError("KK rel_tol must lie in [1e-14, 1e-2]")
 
 
 DEFAULT_KK_SETTINGS = KKSettings()

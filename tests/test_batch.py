@@ -69,8 +69,8 @@ def test_batch_rejects_mixed_models(helium_like_atom):
     assert free_energy_batch([]) == []
 
 
-def test_rows_integrated_stay_close_to_terms_summed(monkeypatch):
-    # each separation sizes its own blocks, so few rows past its last term are integrated
+def test_rows_integrated_stay_close_to_terms_summed(monkeypatch, drude_table):
+    # every row of a batch is planned first and integrated in one call
     from atomwall import lifshitz
 
     counted = []
@@ -81,15 +81,17 @@ def test_rows_integrated_stay_close_to_terms_summed(monkeypatch):
         return block(eps, zeta, rel_tol)
 
     monkeypatch.setattr(lifshitz, "_matsubara_integral_block", counting)
-    requests = [ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=float(a), T=300.0)
-                for a in np.geomspace(3e-9, 1e-5, 60)]
-    summed = sum(r.n_terms_used for r in free_energy_batch(requests))
-    assert sum(counted) <= 1.10 * summed
+    for wall in (WALLS[0], WALLS[1], TabulatedKK(drude_table, METAL)):
+        counted.clear()
+        requests = [ComputationRequest(atom=ATOMS[1], wall=wall, a=float(a), T=300.0)
+                    for a in np.geomspace(3e-9, 1e-5, 60)]
+        summed = sum(r.n_terms_used for r in free_energy_batch(requests))
+        assert counted == [summed]
 
 
 def test_max_terms_exhaustion_names_first_request_in_order():
     tol = NumericalTolerances(max_terms=100)
-    # 3 nm needs 1678 terms and 40 nm 229; 1 um and 10 um stop within 16
+    # 3 nm and 40 nm plan 164 evaluations each; 1 um plans 37 and 10 um 4
     short, mid, far, farthest = [
         ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
         for a in (3e-9, 4e-8, 1e-6, 1e-5)
@@ -100,11 +102,27 @@ def test_max_terms_exhaustion_names_first_request_in_order():
         free_energy_batch([far, short, farthest])
     assert err.value.diagnostics["a"] == 3e-9
     assert err.value.diagnostics == alone.value.diagnostics
-    assert set(err.value.diagnostics) == {"max_terms", "last_term", "accumulated", "a", "T"}
+    assert err.value.diagnostics == {"max_terms": 100, "evaluations": 164, "a": 3e-9, "T": 300.0}
     for order in ([mid, short, far], [short, far, mid]):
         with pytest.raises(ConvergenceError) as err:
             free_energy_batch(order)
         assert err.value.diagnostics["a"] == order[0].a
+    assert [r.n_terms_used for r in free_energy_batch([far, farthest])] == [37, 4]
+
+
+def test_max_terms_exhaustion_raises_before_any_integration(monkeypatch):
+    from atomwall import lifshitz
+
+    def no_integration(*args):
+        raise AssertionError("integrated before the plan was checked")
+
+    monkeypatch.setattr(lifshitz, "_matsubara_integral_block", no_integration)
+    tol = NumericalTolerances(max_terms=163)
+    requests = [ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
+                for a in (1e-6, 3e-9)]
+    with pytest.raises(ConvergenceError) as err:
+        free_energy_batch(requests)
+    assert err.value.diagnostics["evaluations"] == 164
 
 
 def test_max_quad_nodes_covers_summed_rows(helium_like_atom):
@@ -120,49 +138,3 @@ def test_max_quad_nodes_covers_summed_rows(helium_like_atom):
     _, nodes, _ = _matsubara_integral_block(eps_iw(wall, xi), matsubara_zeta(1, req.a, req.T) * ls,
                                             req.tol.quad_rel_tol)
     assert res.max_quad_nodes == nodes.max()
-
-
-def _loop_truncation(terms, bracket0, tol):
-    """The per-term truncation loop, kept as the reference: (n_terms, bracket)."""
-    thermal, prev, run = 0.0, None, 0
-    for n, value in enumerate(terms, start=1):
-        value = float(value)
-        thermal += value
-        total = bracket0 + thermal
-        small = False
-        if value == 0.0:
-            small = True
-        elif prev is not None and prev > 0.0:
-            ratio = value / prev
-            if ratio < 1.0:
-                tail = value * ratio / (1.0 - ratio)
-                small = tail <= tol.series_rel_tol * total
-        run = run + 1 if small else 0
-        prev = value
-        if run >= tol.consecutive_small:
-            return n, total
-    raise AssertionError("reference loop did not stop")
-
-
-@pytest.mark.parametrize("consecutive_small", [1, 3, 5])
-@pytest.mark.parametrize("wall", WALLS, ids=lambda w: type(w).__name__)
-def test_vectorized_truncation_matches_loop(wall, consecutive_small):
-    from atomwall import CODATA, alpha_iw, eps_iw, f0, ideal_metal_integral, matsubara_zeta
-    from atomwall.lifshitz import _matsubara_integral_block
-
-    atom, T = ATOMS[1], 300.0
-    tol = NumericalTolerances(consecutive_small=consecutive_small)
-    alpha0 = alpha_iw(atom, 0.0)
-    for a in (3e-9, 1e-7, 1e-5):
-        res = free_energy(ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol))
-        ls = np.arange(1, res.n_terms_used + 100)
-        xi = 2.0 * np.pi * CODATA.k_B * T / CODATA.hbar * ls
-        zeta = matsubara_zeta(1, a, T) * ls
-        if isinstance(wall, IdealMetal):
-            integrals = ideal_metal_integral(zeta)
-        else:
-            integrals, _, _ = _matsubara_integral_block(eps_iw(wall, xi), zeta, tol.quad_rel_tol)
-        bracket0 = 2.0 * alpha0 * f0(wall)
-        n, bracket = _loop_truncation(alpha_iw(atom, xi) * integrals, bracket0, tol)
-        assert res.n_terms_used == n
-        assert res.free_energy == -CODATA.k_B * T / (8.0 * a ** 3) * bracket

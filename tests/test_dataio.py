@@ -194,6 +194,22 @@ class TestParseRunConfig:
         assert again.kk_settings == with_key.kk_settings
         assert serialize_run_config(again) == doc
 
+    def test_consecutive_small_is_accepted_without_effect(self, tmp_path):
+        tolerances = {"series_rel_tol": 1e-10, "quad_rel_tol": 1e-8, "max_terms": 5000}
+        with_key = parse_run_config(minimal_config(
+            tmp_path, tolerances=dict(tolerances, consecutive_small=5)))
+        assert with_key.tolerances == parse_run_config(
+            minimal_config(tmp_path, tolerances=tolerances)).tolerances
+        doc = serialize_run_config(with_key)
+        assert doc["tolerances"] == tolerances
+        written = tmp_path / "written.json"
+        written.write_text(json.dumps(doc, indent=1))
+        again = parse_run_config(written)
+        assert again.tolerances == with_key.tolerances
+        assert serialize_run_config(again) == doc
+        with pytest.raises(ConfigError, match="consecutive_large"):
+            parse_run_config(minimal_config(tmp_path, tolerances={"consecutive_large": 3}))
+
     def test_metal_table_without_drude(self, tmp_path):
         f = tmp_path / "au.nk"
         write_drude_nk_file(f)

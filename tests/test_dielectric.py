@@ -353,6 +353,14 @@ def test_kk_settings_validation():
         KKSettings(rel_tol=0.0)
 
 
+def test_kk_rel_tol_floor_is_what_the_transform_delivers(drude_table):
+    # at 1e-15 the per-segment quadrature stalls on rounding near 2.6e16 rad/s
+    with pytest.raises(DomainError):
+        KKSettings(rel_tol=1e-15)
+    xi = np.geomspace(1e13, 1e17, 25)
+    assert np.all(np.isfinite(kk_transform(drude_table, xi, KKSettings(rel_tol=1e-14).rel_tol)))
+
+
 def test_high_tail_quadrature_path_matches_closed_form(drude_table):
     # p = 3 goes through the closed form; a nearby exponent through quadrature
     from atomwall.dielectric import _tail_contribution

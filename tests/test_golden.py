@@ -48,49 +48,49 @@ ATOMS = {
 
 # (wall, atom, a [m]) at 300 K: (free_energy.hex(), n_terms_used, max_quad_nodes)
 GOLDEN = {
-    ("plasma", "static", 3e-09): ("-0x1.e026896f5d412p-73", 3540, 128),
-    ("plasma", "static", 4e-08): ("-0x1.7b899864d2bddp-85", 318, 256),
-    ("plasma", "static", 1e-06): ("-0x1.b9d1717814796p-103", 17, 64),
-    ("plasma", "static", 1e-05): ("-0x1.0182a96ae0dc3p-114", 4, 64),
-    ("plasma", "oscillator", 3e-09): ("-0x1.4d031f9b02382p-75", 1678, 128),
-    ("plasma", "oscillator", 4e-08): ("-0x1.fea11b3040f17p-87", 229, 256),
-    ("plasma", "oscillator", 1e-06): ("-0x1.a8c62a089cba5p-103", 16, 64),
-    ("plasma", "oscillator", 1e-05): ("-0x1.017f90a0832aep-114", 4, 64),
-    ("ninham_parsegian", "static", 3e-09): ("-0x1.3e1f4606f41d1p-73", 3736, 256),
-    ("ninham_parsegian", "static", 4e-08): ("-0x1.3198ba85ee2fep-86", 339, 128),
-    ("ninham_parsegian", "static", 1e-06): ("-0x1.5195da3c1de2ep-104", 17, 64),
-    ("ninham_parsegian", "static", 1e-05): ("-0x1.2e32dd0f234dfp-115", 4, 64),
-    ("ninham_parsegian", "oscillator", 3e-09): ("-0x1.ff28e1cc6f52cp-77", 1927, 256),
-    ("ninham_parsegian", "oscillator", 4e-08): ("-0x1.79205bf314a1cp-88", 248, 128),
-    ("ninham_parsegian", "oscillator", 1e-06): ("-0x1.48fae68e0c717p-104", 16, 64),
-    ("ninham_parsegian", "oscillator", 1e-05): ("-0x1.2e2f3f12fda38p-115", 4, 64),
-    ("ideal_metal", "static", 3e-09): ("-0x1.494b697569433p-69", 5179, 0),
-    ("ideal_metal", "static", 4e-08): ("-0x1.5569a12aa77adp-84", 390, 0),
-    ("ideal_metal", "static", 1e-06): ("-0x1.c930d48f2fbcdp-103", 17, 0),
-    ("ideal_metal", "static", 1e-05): ("-0x1.0182b6420f517p-114", 4, 0),
-    ("ideal_metal", "oscillator", 3e-09): ("-0x1.87636c7763e1bp-75", 3318, 0),
-    ("ideal_metal", "oscillator", 4e-08): ("-0x1.259e2dc2fb019p-86", 292, 0),
-    ("ideal_metal", "oscillator", 1e-06): ("-0x1.b6ad425a15d58p-103", 16, 0),
-    ("ideal_metal", "oscillator", 1e-05): ("-0x1.017f9d3a69d0ap-114", 4, 0),
-    ("tabulated_drude", "static", 3e-09): ("-0x1.e0258d834c99fp-73", 3541, 128),
-    ("tabulated_drude", "static", 4e-08): ("-0x1.7b2823b3c9dc4p-85", 318, 256),
-    ("tabulated_drude", "static", 1e-06): ("-0x1.b8fe18892a592p-103", 17, 64),
-    ("tabulated_drude", "static", 1e-05): ("-0x1.0182a83a3f239p-114", 4, 64),
-    ("tabulated_drude", "oscillator", 3e-09): ("-0x1.4ccd72680b6c8p-75", 1679, 128),
-    ("tabulated_drude", "oscillator", 4e-08): ("-0x1.fe35dd4c4e669p-87", 229, 256),
-    ("tabulated_drude", "oscillator", 1e-06): ("-0x1.a7ff72e610493p-103", 16, 64),
-    ("tabulated_drude", "oscillator", 1e-05): ("-0x1.017f8f758f46ap-114", 4, 64),
+    ('plasma', 'static', 3e-09): ('-0x1.e02689775496ep-73', 164, 128),
+    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b9fbp-85', 164, 256),
+    ('plasma', 'static', 1e-06): ('-0x1.b9d17178421f6p-103', 37, 64),
+    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 4, 64),
+    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa09ef67p-75', 164, 128),
+    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b373ada6p-87', 164, 256),
+    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bddf9p-103', 37, 64),
+    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 4, 64),
+    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c3a11ep-73', 164, 256),
+    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a6c278p-86', 164, 128),
+    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c38f47p-104', 37, 64),
+    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 4, 64),
+    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d50756dp-77', 164, 256),
+    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf882530p-88', 164, 128),
+    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1f835p-104', 37, 64),
+    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 4, 64),
+    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697add254p-69', 164, 0),
+    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12fa5774p-84', 164, 0),
+    ('ideal_metal', 'static', 1e-06): ('-0x1.c930d48f86ccbp-103', 37, 0),
+    ('ideal_metal', 'static', 1e-05): ('-0x1.0182b6420f517p-114', 4, 0),
+    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7ddfa23p-75', 164, 0),
+    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc722797p-86', 164, 0),
+    ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a52d8dp-103', 37, 0),
+    ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 4, 0),
+    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc7530p-73', 164, 128),
+    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928f0bp-85', 164, 256),
+    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe18895cf00p-103', 37, 64),
+    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 4, 64),
+    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d97b63p-75', 164, 128),
+    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd532af4ap-87', 164, 256),
+    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e6371eap-103', 37, 64),
+    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 4, 64),
 }
 
 # (subcommand, bundled config, format): sha256 of the output file
 CLI_GOLDEN = {
     ("alpha", "alpha_oscillators.json", "csv"): "3c89a8a31e81f398a6f7b359f19a178131b7dde759ed879db5fc3b13173011b6",
     ("alpha", "alpha_oscillators.json", "json"): "c96dd20cad84f6a32987d52081f7b04c6dec18859e66e4a2463687c7cd39a32b",
-    ("energy", "energy_plasma_static.json", "csv"): "36ee8c285edfcf9752773e0467ef470751c7ad4e3bac5145efc4d63f29386a9c",
+    ("energy", "energy_plasma_static.json", "csv"): "4ca701488e2e2d0eecf697738cb7d2ce1d486d04a1278ce4e907964599e573fe",
     ("epsilon", "epsilon_ninham_parsegian.json", "csv"): "84b8f10b7f39a7319a4bd213f0340eefc6679a368f56ed519dae8fa9ab92e493",
     ("epsilon", "epsilon_ninham_parsegian.json", "json"): "c6db6e701930dc41df54865139827c3f11514ea31ccf1e4c6809f456d534d5b5",
-    ("sweep", "sweep_normalized.json", "csv"): "6eac832a641768b50b901337d54481ee227556af64e9d3c945a4be8bd51a8da8",
-    ("sweep", "sweep_normalized.json", "json"): "095db52978d7de201da56e4dab026081905e2a92241bf72195f8e5c8fbf54665",
+    ("sweep", "sweep_normalized.json", "csv"): "7eb91c8d3f8ae6042c7c0cd9a681b7b06c3ca9898407b3882971ae0aa3cd2fec",
+    ("sweep", "sweep_normalized.json", "json"): "1b79d30fd2defe2381b71d0b987d1bbcd2c897ce5742fc12802a972281664bd0",
 }
 # the bundled config that reads tables shipped apart from the repository
 NEEDS_DATA = {"table_au_vs_models.json"}
@@ -123,10 +123,10 @@ def test_cli_output_bytes(tmp_path, command, name, fmt):
 # eps_grid of TabulatedKK(make_drude_table(), METAL) over the span of a 300 K
 # sum, read at 150 log-spaced points of that span
 GRID_PROBES = 150
-GRID_GOLDEN_SHA256 = "a60005512a2ef73c86617202a143638424d0d50236b6ddf893e1e9ec18a5509d"
-GRID_GOLDEN = {0: "0x1.4072cc87e9221p+11", 37: "0x1.1003a3315a70bp+4",
-               74: "0x1.15dfe5fb95f76p+0", 111: "0x1.001d881ece098p+0",
-               149: "0x1.000022912c66cp+0"}
+GRID_GOLDEN_SHA256 = "1ed93de536538008583d3d951c63ffea80be3bbf4dfa3eb01715f7433cce9c40"
+GRID_GOLDEN = {0: "0x1.4072cc87e9235p+11", 37: "0x1.179f54a5e92bep+4",
+               74: "0x1.17340b99f5b73p+0", 111: "0x1.002043aa17b1fp+0",
+               149: "0x1.000026ed6c945p+0"}
 
 
 def test_tabulated_sum_grid_bits():
@@ -178,8 +178,8 @@ def _write_tabulated_configs(directory: Path):
 TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "a7b4a0347df72438198174c056d505c713f9208664989a32d20b4bc16f940402",
-    ("table", "csv"): "2b82542a61dcb969682d300bdb5579d8ba200fca3de0f08917f974a5cebad3ec",
-    ("table", "json"): "2d74c2bcf5f1a639df28aaeff97b8fc918278bdca1131606267d977604ca53ed",
+    ("table", "csv"): "a3b61d4f6f1f8d162e34f59c21567266ca9f41b3464b62b06f0f0a78408b82fc",
+    ("table", "json"): "04d817d18acd4d741e0037ed78abf1a2e4fba0849b8265489f2f9902c3ca6bc2",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,19 +9,25 @@ from hypothesis import strategies as st
 from atomwall import (
     CODATA,
     ComputationRequest,
+    ConvergenceError,
     DomainError,
     IdealMetal,
     NinhamParsegian,
     NumericalTolerances,
+    OscillatorSet,
     Plasma,
     StaticAlpha,
     StaticPermittivity,
+    TabulatedAlpha,
     TabulatedKK,
     UsageError,
+    alpha_iw,
     au_volume_to_si,
     casimir_polder_energy,
     correction_factor,
+    eps_iw,
     ev_to_angular,
+    f0,
     free_energy,
     free_energy_batch,
     ideal_metal_integral,
@@ -31,7 +38,11 @@ from atomwall import (
     reflection_perp,
 )
 
-from atomwall.dielectric import METAL
+from atomwall import lifshitz
+from atomwall.dielectric import METAL, eps_grid
+from atomwall.lifshitz import _matsubara_integral_block, _sum_grid_span
+
+from conftest import make_drude_table
 
 ALPHA0 = au_volume_to_si(315.63)
 
@@ -285,6 +296,28 @@ class TestFreeEnergy:
         assert res.n_terms_used == 4
         assert not any("extrapolated" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("a,top_eV,warns", [
+        (1e-5, 0.64, True), (1e-5, 0.66, False),   # 4 plain terms read up to 0.650 eV
+        (3e-9, 50.0, True),      # the tail above the table reads up to zeta = 60, 1.97 keV
+        (3e-9, 3000.0, False),   # a plain sum to zeta = 60 stays below this table's end
+    ])
+    def test_tabulated_alpha_warns_iff_the_sum_reads_above_table(self, monkeypatch, a,
+                                                                 top_eV, warns):
+        source = OscillatorSet((0.5935,), (ev_to_angular(1.18),))
+        xi = np.concatenate(([0.0], ev_to_angular(np.geomspace(1e-3, top_eV, 40))))
+        atom = TabulatedAlpha(xi, alpha_iw(source, xi))
+        read = []
+
+        def recording(model, x):
+            read.append(np.max(x))
+            return alpha_iw(model, x)
+
+        monkeypatch.setattr(lifshitz, "alpha_iw", recording)
+        res = free_energy(ComputationRequest(atom=atom, wall=Plasma(ev_to_angular(9.0)),
+                                             a=a, T=300.0))
+        assert (max(read) > xi[-1]) == warns
+        assert any("extrapolated" in w for w in res.warnings) == warns
+
     def test_max_terms_exhaustion(self):
         from atomwall import ConvergenceError
         tol = NumericalTolerances(max_terms=5)
@@ -380,10 +413,6 @@ def _series_tol_changes(atom, wall, separations, T=300.0):
 class TestSeriesTolerance:
     """A result at series_rel_tol 1e-9 against one at 1e-13."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "series_rel_tol is overshot at 3 nm, 300 K with the (0.5935, 1.18 eV) "
-        "oscillator atom: |F(1e-9) - F(1e-13)|/|F| is 1.0047e-9 on the 9 eV plasma "
-        "wall and 1.0022e-9 on the Ninham-Parsegian wall"))
     @pytest.mark.parametrize("wall", [
         Plasma(ev_to_angular(9.0)),
         NinhamParsegian(((1.93, ev_to_angular(0.13)), (0.91, ev_to_angular(12.5)))),
@@ -402,3 +431,60 @@ class TestSeriesTolerance:
         changes = _series_tol_changes(StaticAlpha(ALPHA0), TabulatedKK(drude_table, METAL),
                                       separations)
         assert changes.max() <= 1e-9
+
+
+_REF_WALLS = {
+    "plasma": Plasma(ev_to_angular(9.0)),
+    "ninham_parsegian": NinhamParsegian(((1.93, ev_to_angular(0.13)),
+                                         (0.91, ev_to_angular(12.5)))),
+    "ideal_metal": IdealMetal(),
+    "drude_table": TabulatedKK(make_drude_table(), METAL),
+}
+_OSCILLATOR = OscillatorSet((0.5935,), (ev_to_angular(1.18),))
+_ALPHA_ROWS = ev_to_angular(np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 119))))
+_REF_ATOMS = {"oscillator": _OSCILLATOR,
+              "tabulated": TabulatedAlpha(_ALPHA_ROWS, alpha_iw(_OSCILLATOR, _ALPHA_ROWS))}
+_REF_SEPARATIONS = (1e-9, 3e-9, 3e-8, 1e-6, 1e-5)
+
+
+@lru_cache(maxsize=None)
+def _plain_sum_integrals(wall_name, a, T):
+    """(quad_rel_tol, l, per-frequency integrals) of every term l >= 1 up to zeta_l = 60.
+
+    quad_rel_tol is 1e-11, or 1e-10 where a row does not converge at 1e-11
+    (30 K, 30 nm on the plasma and Drude-table walls).
+    """
+    wall = _REF_WALLS[wall_name]
+    tau = matsubara_zeta(1, a, T)
+    ls = np.arange(1, math.ceil(60.0 / tau) + 1)
+    if isinstance(wall, IdealMetal):
+        return 1e-11, ls, ideal_metal_integral(tau * ls)
+    xi1, xi_top = _sum_grid_span(T)
+    if isinstance(wall, TabulatedKK):
+        eps = eps_grid(wall, xi1, xi_top)(xi1 * ls)
+    else:
+        eps = eps_iw(wall, xi1 * ls)
+    try:
+        return 1e-11, ls, _matsubara_integral_block(eps, tau * ls, 1e-11)[0]
+    except ConvergenceError:
+        return 1e-10, ls, _matsubara_integral_block(eps, tau * ls, 1e-10)[0]
+
+
+class TestPlainSumReference:
+    """The sum against every term up to zeta_l = 60, at the same quad_rel_tol."""
+
+    @pytest.mark.parametrize("series_rel_tol", [1e-9, 1e-11])
+    @pytest.mark.parametrize("T", [30.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("atom_name", list(_REF_ATOMS))
+    @pytest.mark.parametrize("wall_name", list(_REF_WALLS))
+    def test_within_series_rel_tol(self, wall_name, atom_name, T, series_rel_tol):
+        wall, atom = _REF_WALLS[wall_name], _REF_ATOMS[atom_name]
+        xi1 = _sum_grid_span(T)[0]
+        for a in _REF_SEPARATIONS:
+            quad_rel_tol, ls, integrals = _plain_sum_integrals(wall_name, a, T)
+            bracket = (2.0 * alpha_iw(atom, 0.0) * f0(wall)
+                       + math.fsum(alpha_iw(atom, xi1 * ls) * integrals))
+            reference = -CODATA.k_B * T / (8.0 * a ** 3) * bracket
+            tol = NumericalTolerances(series_rel_tol=series_rel_tol, quad_rel_tol=quad_rel_tol)
+            res = free_energy(ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol))
+            assert abs(res.free_energy / reference - 1.0) <= series_rel_tol, a
