@@ -49,12 +49,13 @@ from .quadrature import gauss_laguerre, gauss_legendre
 SOFT_RANGE = (3e-9, 1e-5)   # outside: warn
 HARD_RANGE = (1e-9, 1e-4)   # outside: reject
 
-_QUAD_START = 32
+_QUAD_START = 16
 _QUAD_CAP = 512
+_QUAD_TOL_FLOOR = 1e-11     # tightest quad_rel_tol: rows with eps - 1 ~ 1e-6 stall below it
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
 _SERIES_TOL_FLOOR = 1e-14   # the tightest series_rel_tol accepted
 _ZETA_MAX = 60.0   # terms past zeta_l = 60 carry e^-60 of the sum: a plain sum stops there
-_HEAD = 64         # terms summed one by one before the tail, at series_rel_tol >= 1e-11
+_HEAD = 64         # terms summed one by one before the tail at series_rel_tol 1e-11
 _TAIL_PANELS, _TAIL_ORDER = 6, 16   # Gauss-Legendre panels of the tail integral, in ln l
 # f(L + s) at these shifts s gives f(L)/2 - f'(L)/12 + f'''(L)/720, with
 # f' = (8 d1 - d2)/6 and f''' = 4 (d2 - 2 d1) from the central differences
@@ -74,8 +75,8 @@ class NumericalTolerances:
     def __post_init__(self):
         if not (_SERIES_TOL_FLOOR <= self.series_rel_tol < 1.0):
             raise DomainError(f"series_rel_tol must lie in [{_SERIES_TOL_FLOOR:g}, 1)")
-        if not (0.0 < self.quad_rel_tol < 1.0):
-            raise DomainError("quad_rel_tol must lie in (0, 1)")
+        if not (_QUAD_TOL_FLOOR <= self.quad_rel_tol < 1.0):
+            raise DomainError(f"quad_rel_tol must lie in [{_QUAD_TOL_FLOOR:g}, 1)")
         if self.max_terms < 1:
             raise DomainError("max_terms must be positive")
 
@@ -195,7 +196,8 @@ def _integrand_rows(eps_col, zeta_col, y):
 def _integrate_chunk(eps, zeta, rel_tol):
     """Per-row order doubling for one chunk of rows; see _matsubara_integral_block."""
     width = zeta * np.sqrt(np.maximum(eps - 1.0, 0.0))
-    split_at = np.where((width > 0.0) & (width < 1.0), np.minimum(2.0, 5.0 * width), 0.0)
+    near = (width > 0.0) & ((zeta < 1.0) | (width < 0.5))
+    split_at = np.where(near, np.clip(5.0 * zeta * np.sqrt(eps), 0.5, 2.0), 0.0)
 
     def evaluate(rows, order):
         eps_col = eps[rows, None]
@@ -248,14 +250,16 @@ def _integrate_chunk(eps, zeta, rel_tol):
 def _matsubara_integral_block(eps, zeta, rel_tol):
     """Vectorized per-frequency integrals with per-row order doubling.
 
-    After the shift y = zeta + t the reflection coefficients still carry a
-    feature of width zeta*sqrt(eps-1) at the lower limit (the branch scale of
-    sqrt(y^2 + zeta^2 (eps-1))).  When that width is below 1 the row is
-    integrated as a Gauss-Legendre panel over [0, T] covering the feature
-    plus a Gauss-Laguerre rule beyond T; otherwise pure Gauss-Laguerre is
-    spectrally accurate.  Both pieces share one order that doubles until
-    successive composite estimates agree to ``rel_tol``.  Rows are taken in
-    chunks of ``_CHUNK``, and each row's value depends on that row alone.
+    After the shift y = zeta + t the integrand is singular close to the
+    lower limit: sqrt(y^2 + zeta^2 (eps-1)) branches at t = -zeta +- i width,
+    width = zeta*sqrt(eps-1), a distance zeta*sqrt(eps) from t = 0, and r_par
+    has a pole near t = -zeta.  A row with zeta < 1 or width < 0.5 is
+    integrated as a Gauss-Legendre panel over [0, T], T = 5 zeta sqrt(eps)
+    held to [0.5, 2], plus a Gauss-Laguerre rule beyond T; any other row is
+    pure Gauss-Laguerre.  Both pieces share one order that doubles from
+    ``_QUAD_START`` until successive composite estimates agree to
+    ``rel_tol``.  Rows are taken in chunks of ``_CHUNK``, and each row's
+    value depends on that row alone.
 
     Returns (values, nodes used per row, max_final_rel_delta).
     """
@@ -271,9 +275,10 @@ def matsubara_integral(eps: float, zeta: float, quad_rel_tol: float = 1e-9) -> f
     """int_zeta^inf dy e^{-y} [(2y^2 - zeta^2) r_par + zeta^2 r_perp].
 
     Evaluated after the shift y = zeta + t as
-    e^{-zeta} int_0^inf e^{-t} g(zeta + t) dt with Gauss-Laguerre rules whose
-    order doubles (32 up to 512) until successive estimates agree to
-    ``quad_rel_tol``.  Always >= 0.
+    e^{-zeta} int_0^inf e^{-t} g(zeta + t) dt with Gauss-Laguerre rules, and
+    a Gauss-Legendre panel near the lower limit where zeta or the branch
+    width is small, whose order doubles (16 up to 512) until successive
+    estimates agree to ``quad_rel_tol``.  Always >= 0.
     """
     if eps < 1.0:
         raise DomainError("permittivity at imaginary frequency must be >= 1")
@@ -305,13 +310,14 @@ def _sum_grid_span(T: float):
 def _head_length(atom, series_rel_tol: float, xi1: float) -> int:
     """L: the terms l < L are summed one by one, the terms l >= L as a tail.
 
-    The tail's error falls faster than L^-5 and stays below 1e-12 of the sum
-    at L = 64, from 4 K to 3 000 K and 1 nm to 100 um; a tighter
-    series_rel_tol takes L up by the fifth root.  A tabulated alpha is only
-    C^1 (PCHIP) up to its last row and kinked there, so its tail starts
-    above the table.
+    The tail's error falls faster than L^-5, so L = 64 (1e-11/series_rel_tol)^(1/5):
+    26 at 1e-9 and 64 at 1e-11.  From 4 K to 3 000 K and 1 nm to 100 um the
+    error stays below 0.4 series_rel_tol, down to L = 2, the floor at which
+    the stencil point L - 1 is still a Matsubara term.  A tabulated
+    alpha is only C^1 (PCHIP) up to its last row and kinked there, so its
+    tail starts above the table.
     """
-    L = math.ceil(_HEAD * max(1.0, 1e-11 / series_rel_tol) ** 0.2)
+    L = max(2, math.ceil(_HEAD * (1e-11 / series_rel_tol) ** 0.2))
     if isinstance(atom, TabulatedAlpha):
         L = max(L, math.ceil(atom.xi[-1] / xi1) + 2)
     return L

@@ -358,7 +358,19 @@ def test_kk_rel_tol_floor_is_what_the_transform_delivers(drude_table):
     with pytest.raises(DomainError):
         KKSettings(rel_tol=1e-15)
     xi = np.geomspace(1e13, 1e17, 25)
-    assert np.all(np.isfinite(kk_transform(drude_table, xi, KKSettings(rel_tol=1e-14).rel_tol)))
+    assert np.all(np.isfinite(kk_transform(drude_table, xi, KKSettings(rel_tol=1e-13).rel_tol)))
+
+
+@pytest.mark.parametrize("T", [4.0, 30.0, 300.0])
+@pytest.mark.parametrize("table_name", list(_SUM_TABLES))
+def test_kk_rel_tol_floor_is_what_the_sum_interpolant_builds(table_name, T):
+    # once converged, the interpolant's four-coefficient estimate levels off on
+    # rounding at up to 4e-14; at 1e-14 the 200-row Drude table at 30 K ends at the cap
+    with pytest.raises(DomainError):
+        KKSettings(rel_tol=5e-14)
+    table, kind = _SUM_TABLES[table_name]
+    grid = eps_grid(TabulatedKK(table, kind, KKSettings(rel_tol=1e-13)), *_sum_grid_span(T))
+    assert np.all(np.isfinite(grid(np.geomspace(*_sum_grid_span(T), 50))))
 
 
 def test_high_tail_quadrature_path_matches_closed_form(drude_table):

@@ -48,49 +48,49 @@ ATOMS = {
 
 # (wall, atom, a [m]) at 300 K: (free_energy.hex(), n_terms_used, max_quad_nodes)
 GOLDEN = {
-    ('plasma', 'static', 3e-09): ('-0x1.e02689775496ep-73', 164, 128),
-    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b9fbp-85', 164, 256),
-    ('plasma', 'static', 1e-06): ('-0x1.b9d17178421f6p-103', 37, 64),
-    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 4, 64),
-    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa09ef67p-75', 164, 128),
-    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b373ada6p-87', 164, 256),
-    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bddf9p-103', 37, 64),
-    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 4, 64),
-    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c3a11ep-73', 164, 256),
-    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a6c278p-86', 164, 128),
-    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c38f47p-104', 37, 64),
-    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 4, 64),
-    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d50756dp-77', 164, 256),
-    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf882530p-88', 164, 128),
-    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1f835p-104', 37, 64),
-    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 4, 64),
-    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697add254p-69', 164, 0),
-    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12fa5774p-84', 164, 0),
+    ('plasma', 'static', 3e-09): ('-0x1.e0268977563aap-73', 126, 64),
+    ('plasma', 'static', 4e-08): ('-0x1.7b89986a55a8ep-85', 126, 64),
+    ('plasma', 'static', 1e-06): ('-0x1.b9d1717842158p-103', 37, 32),
+    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 4, 32),
+    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa0386abp-75', 126, 64),
+    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b3677279p-87', 126, 64),
+    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bdd60p-103', 37, 32),
+    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 4, 32),
+    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c3ab7bp-73', 126, 128),
+    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a6e39cp-86', 126, 128),
+    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c38f4dp-104', 37, 32),
+    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 4, 32),
+    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d49af84p-77', 126, 128),
+    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf80ce2ap-88', 126, 128),
+    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1f83cp-104', 37, 32),
+    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 4, 32),
+    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697add258p-69', 126, 0),
+    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12fa3d1cp-84', 126, 0),
     ('ideal_metal', 'static', 1e-06): ('-0x1.c930d48f86ccbp-103', 37, 0),
     ('ideal_metal', 'static', 1e-05): ('-0x1.0182b6420f517p-114', 4, 0),
-    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7ddfa23p-75', 164, 0),
-    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc722797p-86', 164, 0),
+    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7d7d91dp-75', 126, 0),
+    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ccbaap-86', 126, 0),
     ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a52d8dp-103', 37, 0),
     ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 4, 0),
-    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc7530p-73', 164, 128),
-    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928f0bp-85', 164, 256),
-    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe18895cf00p-103', 37, 64),
-    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 4, 64),
-    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d97b63p-75', 164, 128),
-    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd532af4ap-87', 164, 256),
-    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e6371eap-103', 37, 64),
-    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 4, 64),
+    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc9004p-73', 126, 64),
+    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b942ca4p-85', 126, 64),
+    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe18895ce57p-103', 37, 32),
+    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 4, 32),
+    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d314fep-75', 126, 64),
+    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52676c1p-87', 126, 64),
+    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e637145p-103', 37, 32),
+    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 4, 32),
 }
 
 # (subcommand, bundled config, format): sha256 of the output file
 CLI_GOLDEN = {
     ("alpha", "alpha_oscillators.json", "csv"): "3c89a8a31e81f398a6f7b359f19a178131b7dde759ed879db5fc3b13173011b6",
     ("alpha", "alpha_oscillators.json", "json"): "c96dd20cad84f6a32987d52081f7b04c6dec18859e66e4a2463687c7cd39a32b",
-    ("energy", "energy_plasma_static.json", "csv"): "4ca701488e2e2d0eecf697738cb7d2ce1d486d04a1278ce4e907964599e573fe",
+    ("energy", "energy_plasma_static.json", "csv"): "68d210e68199cdfe7a685c2e77ea9aedb2a05075b591624f0ba1941af3e573f5",
     ("epsilon", "epsilon_ninham_parsegian.json", "csv"): "84b8f10b7f39a7319a4bd213f0340eefc6679a368f56ed519dae8fa9ab92e493",
     ("epsilon", "epsilon_ninham_parsegian.json", "json"): "c6db6e701930dc41df54865139827c3f11514ea31ccf1e4c6809f456d534d5b5",
-    ("sweep", "sweep_normalized.json", "csv"): "7eb91c8d3f8ae6042c7c0cd9a681b7b06c3ca9898407b3882971ae0aa3cd2fec",
-    ("sweep", "sweep_normalized.json", "json"): "1b79d30fd2defe2381b71d0b987d1bbcd2c897ce5742fc12802a972281664bd0",
+    ("sweep", "sweep_normalized.json", "csv"): "e0373c11dc76826adb3cbbaccbe0cbbe5ff8a5ff1264ea074e87f0cc5acbba03",
+    ("sweep", "sweep_normalized.json", "json"): "4b390c6edddf9406ea48a22ff3b69eaf3f0be279562e1eed365cafaef8c93858",
 }
 # the bundled config that reads tables shipped apart from the repository
 NEEDS_DATA = {"table_au_vs_models.json"}
@@ -178,8 +178,8 @@ def _write_tabulated_configs(directory: Path):
 TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "a7b4a0347df72438198174c056d505c713f9208664989a32d20b4bc16f940402",
-    ("table", "csv"): "a3b61d4f6f1f8d162e34f59c21567266ca9f41b3464b62b06f0f0a78408b82fc",
-    ("table", "json"): "04d817d18acd4d741e0037ed78abf1a2e4fba0849b8265489f2f9902c3ca6bc2",
+    ("table", "csv"): "34e5d4ad1cc80240095d35d2ff67bc0d47b3f7488ef319b1ad467cc59a56f770",
+    ("table", "json"): "9141ddfa81f727cebeb0d7add75ed9e5811fb3c3ef8ae14eb4b7d18e00a495b0",
 }
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from atomwall import (
     CODATA,
     ComputationRequest,
-    ConvergenceError,
     DomainError,
     IdealMetal,
     NinhamParsegian,
@@ -39,10 +38,12 @@ from atomwall import (
 )
 
 from atomwall import lifshitz
-from atomwall.dielectric import METAL, eps_grid
-from atomwall.lifshitz import _matsubara_integral_block, _sum_grid_span
+from atomwall.constants import C_LIGHT
+from atomwall.dielectric import DIELECTRIC, METAL, DrudeLowFreq, OpticalTable, eps_grid
+from atomwall.lifshitz import _integrand_rows, _matsubara_integral_block, _sum_grid_span
+from atomwall.quadrature import gauss_legendre
 
-from conftest import make_drude_table
+from conftest import drude_nk, make_drude_table, make_lorentz_table
 
 ALPHA0 = au_volume_to_si(315.63)
 
@@ -171,6 +172,101 @@ class TestMatsubaraIntegral:
             matsubara_integral(0.99, 1.0)
         with pytest.raises(DomainError):
             matsubara_integral(2.0, -0.1)
+
+
+def _dense_reference(eps, zeta, order=48):
+    """Per-frequency integrals by composite Gauss-Legendre in t = y - zeta.
+
+    Every singularity of the integrand lies at least zeta from t = 0, so
+    panels that grow by 1.5 from 1e-3 min(zeta, 1) up to t = 120 (e^-120 of
+    the integral left) each see it far outside their own width.
+    """
+    eps_col = np.asarray(eps, dtype=float)[:, None]
+    zeta_col = np.asarray(zeta, dtype=float)[:, None]
+    x, w = gauss_legendre(order)
+    edges = np.minimum(1e-3 * np.minimum(zeta_col, 1.0) * 1.5 ** np.arange(60), 120.0)
+    edges = np.concatenate([np.zeros_like(zeta_col), edges], axis=1)
+    half = 0.5 * np.diff(edges, axis=1)
+    t = (edges[:, :-1, None] + half[:, :, None] * (x + 1.0)).reshape(edges.shape[0], -1)
+    g = _integrand_rows(eps_col, zeta_col, zeta_col + t) * np.exp(-t)
+    panels = g.reshape(half.shape + (order,)) @ w
+    return np.exp(-zeta_col[:, 0]) * (half * panels).sum(axis=1)
+
+
+# the (eps, zeta) rows of the reference check: small and large zeta, eps near 1 and large
+_CHECKED_ROWS = [(1.05, 1e-3), (2526.0, 0.0216), (3.84, 0.02), (1.7e7, 0.1), (1.5, 2.0),
+                 (1.0001, 40.0), (400.0, 5.0), (12.0, 60.0)]
+
+
+def test_dense_reference_matches_scipy_quad():
+    from scipy.integrate import quad
+
+    eps, zeta = np.array(_CHECKED_ROWS).T
+    for e, z, ref in zip(eps, zeta, _dense_reference(eps, zeta)):
+        def f(t):
+            return float(_integrand_rows(np.array([[e]]), np.array([[z]]),
+                                         np.array([[z + t]]))[0, 0] * math.exp(-z - t))
+        breaks = sorted({0.0, 100.0} | {p for p in (z / 100, z, z * math.sqrt(e - 1.0), 1.0, 10.0)
+                                         if 0.0 < p < 100.0})
+        value = sum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+                    for lo, hi in zip(breaks[:-1], breaks[1:]))
+        # a tenth of the tightest quad_rel_tol; at eps - 1 = 1e-4 the integrand's
+        # own rounding is about 1e-12
+        assert ref == pytest.approx(value, rel=1e-12, abs=0.0), (e, z)
+
+
+# the five wall models a sum integrates, each read at an imaginary frequency
+_QUAD_WALLS = {
+    "plasma": Plasma(ev_to_angular(9.0)),
+    "ninham_parsegian": NinhamParsegian(((1.93, ev_to_angular(0.13)),
+                                         (0.91, ev_to_angular(12.5)))),
+    "static": StaticPermittivity(4.0),
+    "drude_table": TabulatedKK(make_drude_table(), METAL),
+    "lorentz_table": TabulatedKK(make_lorentz_table(), DIELECTRIC),
+}
+
+
+class TestQuadratureAgainstDenseReference:
+    """Two successive orders can agree by accident; a dense rule would see it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        wall=st.sampled_from(list(_QUAD_WALLS)),
+        # log10 of (separation [m], zeta): eps is read at xi = zeta c/(2a)
+        rows=st.lists(st.tuples(st.floats(-9.0, -4.0), st.floats(-3.0, math.log10(60.0))),
+                      min_size=1, max_size=6),
+        quad_rel_tol=st.sampled_from([1e-9, 1e-11]),
+    )
+    def test_within_quad_rel_tol(self, wall, rows, quad_rel_tol):
+        a, zeta = 10.0 ** np.array(rows).T
+        eps = eps_iw(_QUAD_WALLS[wall], zeta * C_LIGHT / (2.0 * a))
+        values, _, _ = _matsubara_integral_block(eps, zeta, quad_rel_tol)
+        errors = np.abs(values / _dense_reference(eps, zeta) - 1.0)
+        assert np.all(errors <= quad_rel_tol), (eps, zeta, errors)
+
+
+def _table_config_wall():
+    """The 200-row Drude n,k wall of the tabulated ``table`` config in test_golden.py."""
+    omega = ev_to_angular(np.geomspace(1e-3, 1e4, 200))
+    wp, nu = ev_to_angular(9.0), ev_to_angular(0.035)
+    n, k = drude_nk(omega, wp, nu)
+    return TabulatedKK(OpticalTable(omega, n, k, low_ext=DrudeLowFreq(wp, nu)), METAL)
+
+
+def test_row_just_wider_than_one_converges_at_the_floor():
+    # the l = 1 row at 13 nm and 300 K of the tabulated table config, on its
+    # Drude table and on a 9 eV plasma: zeta = 0.0216, eps about 2 526 and
+    # 3 071, width zeta sqrt(eps - 1) above 1
+    a = float(np.geomspace(3.0, 10000.0, 12)[2]) * 1e-9
+    xi1, xi_top = _sum_grid_span(300.0)
+    eps = np.array([eps_grid(_table_config_wall(), xi1, xi_top)(np.array([xi1]))[0],
+                    eps_iw(Plasma(ev_to_angular(9.0)), xi1)])
+    zeta = np.full(2, matsubara_zeta(1, a, 300.0))
+    assert zeta[0] == pytest.approx(0.0216, rel=1e-2)
+    assert eps == pytest.approx([2526.0, 3071.0], rel=1e-3)
+    assert np.all(zeta * np.sqrt(eps - 1.0) > 1.0)
+    values, _, _ = _matsubara_integral_block(eps, zeta, 1e-11)
+    assert np.all(np.abs(values / _dense_reference(eps, zeta) - 1.0) <= 1e-11)
 
 
 class TestIdealMetalIntegral:
@@ -332,6 +428,30 @@ class TestFreeEnergy:
         with pytest.raises(DomainError):
             NumericalTolerances(max_terms=0)
 
+    def test_quad_rel_tol_floor_is_what_the_quadrature_delivers(self):
+        # below 1e-11 the doubling stalls at order 512 on rows where eps - 1
+        # is a few 1e-6, whose integrand carries that much rounding
+        with pytest.raises(DomainError):
+            NumericalTolerances(quad_rel_tol=1e-12)
+        assert NumericalTolerances(quad_rel_tol=1e-11).quad_rel_tol == 1e-11
+
+    def test_loosest_series_rel_tol_reads_no_term_below_one(self, monkeypatch,
+                                                           helium_like_atom):
+        # series_rel_tol 0.5 asks for L = 1 by the fifth root; the floor keeps
+        # the stencil's L - 1 at a Matsubara term, where a metal's eps is finite
+        read = []
+
+        def recording(model, x):
+            read.append(np.min(x))
+            return eps_iw(model, x)
+
+        monkeypatch.setattr(lifshitz, "eps_iw", recording)
+        tol = NumericalTolerances(series_rel_tol=0.5)
+        res = free_energy(ComputationRequest(atom=helium_like_atom, wall=Plasma(1.37e16),
+                                             a=3e-9, T=300.0, tol=tol))
+        assert min(read) >= _sum_grid_span(300.0)[0]
+        assert np.isfinite(res.free_energy)
+
     def test_hard_window_rejection(self):
         with pytest.raises(DomainError):
             ComputationRequest(atom=StaticAlpha(ALPHA0), wall=IdealMetal(),
@@ -449,31 +569,24 @@ _REF_SEPARATIONS = (1e-9, 3e-9, 3e-8, 1e-6, 1e-5)
 
 @lru_cache(maxsize=None)
 def _plain_sum_integrals(wall_name, a, T):
-    """(quad_rel_tol, l, per-frequency integrals) of every term l >= 1 up to zeta_l = 60.
-
-    quad_rel_tol is 1e-11, or 1e-10 where a row does not converge at 1e-11
-    (30 K, 30 nm on the plasma and Drude-table walls).
-    """
+    """(l, per-frequency integral at quad_rel_tol 1e-11) of each term up to zeta_l = 60."""
     wall = _REF_WALLS[wall_name]
     tau = matsubara_zeta(1, a, T)
     ls = np.arange(1, math.ceil(60.0 / tau) + 1)
     if isinstance(wall, IdealMetal):
-        return 1e-11, ls, ideal_metal_integral(tau * ls)
+        return ls, ideal_metal_integral(tau * ls)
     xi1, xi_top = _sum_grid_span(T)
     if isinstance(wall, TabulatedKK):
         eps = eps_grid(wall, xi1, xi_top)(xi1 * ls)
     else:
         eps = eps_iw(wall, xi1 * ls)
-    try:
-        return 1e-11, ls, _matsubara_integral_block(eps, tau * ls, 1e-11)[0]
-    except ConvergenceError:
-        return 1e-10, ls, _matsubara_integral_block(eps, tau * ls, 1e-10)[0]
+    return ls, _matsubara_integral_block(eps, tau * ls, 1e-11)[0]
 
 
 class TestPlainSumReference:
     """The sum against every term up to zeta_l = 60, at the same quad_rel_tol."""
 
-    @pytest.mark.parametrize("series_rel_tol", [1e-9, 1e-11])
+    @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-11])
     @pytest.mark.parametrize("T", [30.0, 300.0, 1000.0])
     @pytest.mark.parametrize("atom_name", list(_REF_ATOMS))
     @pytest.mark.parametrize("wall_name", list(_REF_WALLS))
@@ -481,10 +594,10 @@ class TestPlainSumReference:
         wall, atom = _REF_WALLS[wall_name], _REF_ATOMS[atom_name]
         xi1 = _sum_grid_span(T)[0]
         for a in _REF_SEPARATIONS:
-            quad_rel_tol, ls, integrals = _plain_sum_integrals(wall_name, a, T)
+            ls, integrals = _plain_sum_integrals(wall_name, a, T)
             bracket = (2.0 * alpha_iw(atom, 0.0) * f0(wall)
                        + math.fsum(alpha_iw(atom, xi1 * ls) * integrals))
             reference = -CODATA.k_B * T / (8.0 * a ** 3) * bracket
-            tol = NumericalTolerances(series_rel_tol=series_rel_tol, quad_rel_tol=quad_rel_tol)
+            tol = NumericalTolerances(series_rel_tol=series_rel_tol, quad_rel_tol=1e-11)
             res = free_energy(ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol))
             assert abs(res.free_energy / reference - 1.0) <= series_rel_tol, a
