@@ -10,11 +10,11 @@ with eps''(w) = 2 n(w) k(w) built from the table.  The table covers a finite
 window [w_min, w_max]; below it a metal is completed with a Drude tail
 eps''(w) = wp^2 nu / (w (w^2 + nu^2)) and a dielectric with a power law
 fitted to the first table segment, above it with a C/w^p tail matched
-continuously at the last point.  The transform is integrated segment by
-segment with order-doubling Gauss-Legendre rules, the completions mostly in
-closed form.  ``kk_transform`` takes one xi or an array of them: eps'' at the
-nodes of each rule is computed once per call, over all segments, and shared
-by every xi, while each xi doubles the order of its own segments.
+continuously at the last point.  ``eps_imag_part`` defines that completed
+spectrum, and ``kk_transform`` integrates it in s = ln w with one composite
+Gauss-Legendre rule: a panel per table segment, plus unit panels into each
+completion.  It takes one xi or an array of them, computes eps'' at the
+nodes of an order once per call, and lets each xi double its own order.
 
 ``eps_iw`` always runs the transform.  A Matsubara sum queries eps(i xi) at
 thousands of frequencies, so it reads a tabulated wall through ``eps_grid``
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -44,6 +44,10 @@ DIELECTRIC = "dielectric"
 _TINY = 1e-300
 _CHEB_START = 16   # degree of the first eps_grid interpolant; it doubles from here
 _CHEB_CAP = 256
+_KK_START = 8      # Gauss-Legendre order per panel of a transform's first estimate
+_KK_CAP = 128
+_E_FOLDS = 40.0    # a completion is integrated until it has fallen by about e^-40
+_CHUNK = 1 << 18   # integrand values evaluated at once
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class KKSettings:
 
     def __post_init__(self):
         # the sum's interpolant of the transform levels off on rounding at up to
-        # 4e-14, and the per-segment quadrature stalls below 1e-14
+        # 4e-14; the transform itself converges down to 1e-15
         if not (1e-13 <= self.rel_tol <= 1e-2):
             raise DomainError("KK rel_tol must lie in [1e-13, 1e-2]")
 
@@ -219,153 +223,91 @@ def eps_imag_part(table: OpticalTable, omega):
 # Kramers-Kronig transform
 # ---------------------------------------------------------------------------
 
-def _drude_low_contribution(low: DrudeLowFreq, V: float, xi: float) -> float:
-    """int_0^V  w eps''_Drude / (w^2 + xi^2) dw, in closed form."""
-    b, c = low.nu, xi
-    if abs(b - c) <= 1e-6 * max(b, c):
-        m = 0.5 * (b + c)
-        base = V / (2.0 * m * m * (V * V + m * m)) + math.atan(V / m) / (2.0 * m ** 3)
-    else:
-        base = (math.atan(V / b) / b - math.atan(V / c) / c) / (c * c - b * b)
-    return low.omega_p ** 2 * low.nu * base
+def _completion_panels(table: OpticalTable, xs):
+    """Unit panels in ln w below and above the table, per xi, as two int arrays.
 
-
-def _low_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
-    """int_0^{w_min} of the Drude or fitted power-law completion against w/(w^2+xi^2)."""
+    They reach until w^2 eps''/(w^2 + xi^2) has fallen by about e^-40.  The
+    Drude completion rises as 1/w down to min(w_min, nu, xi), then falls as w;
+    a power law e0 (w/w_min)^p falls at rate p, and at least p + 1 below xi (one
+    that does not fall gets one panel, where ``eps_imag_part`` raises); the
+    tail rises at most up to xi, then falls at rate p.
+    """
     if table.low_ext is not None:
-        return _drude_low_contribution(table.low_ext, table.omega_min, xi)
-    e0 = table._low_e0
-    if e0 == 0.0:
-        return 0.0
-    p = table._low_slope
-    if p is None or p <= 0.0:
-        raise ConfigError(
-            "zero-frequency dispersion transform diverges: low-frequency "
-            "eps'' does not decay; a dielectric table must fall off toward "
-            "zero frequency"
-        )
-    V = table.omega_min
-    if xi == 0.0:
-        # int_0^V e0 (w/V)^p / w dw
-        return e0 / p
-
-    def f(om):
-        return e0 * (om / V) ** p * om / (om * om + xi * xi)
-
-    if xi >= V:
-        return _doubling_gl(f, 0.0, V, rel_tol)
-    # the knee at w = xi is resolved by [0, xi] in w plus [xi, V] in s = ln w
-    return _doubling_gl(f, 0.0, xi, rel_tol) + _doubling_gl(
-        lambda s: np.exp(s) * f(np.exp(s)), math.log(xi), math.log(V), rel_tol)
-
-
-def _doubling_gl(f, lo, hi, rel_tol, start=16, cap=256):
-    """Gauss-Legendre on [lo, hi] with order doubling to relative agreement."""
-    prev = None
-    order = start
-    while True:
-        x, w = gauss_legendre(order)
-        half = 0.5 * (hi - lo)
-        om = lo + half * (x + 1.0)
-        val = half * float(f(om) @ w)
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), _TINY):
-            return val
-        if order >= cap:
-            raise ConvergenceError(
-                "quadrature on extrapolated band did not converge",
-                interval=(lo, hi), order=order, last=val, previous=prev,
-            )
-        prev = val
-        order *= 2
-
-
-def _segment_nodes(table: OpticalTable, order: int):
-    """Gauss-Legendre nodes of every table segment, eps'' there, half-widths, weights."""
-    lo, hi = table.omega[:-1], table.omega[1:]
-    x, w = gauss_legendre(order)
-    half = 0.5 * (hi - lo)
-    om = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
-    return om, _eps2_in_segments(table, om, np.arange(lo.size)[:, None]), half, w
-
-
-def _eval_segments(nodes, xi: float, idx):
-    """Per-segment Gauss-Legendre estimates of the in-range transform."""
-    om, e2, half, w = nodes
-    om = om[idx]
-    # one gemv per xi and order: a row's last bits depend on its matrix
-    f = om * e2[idx] / (om * om + xi * xi)
-    return half[idx] * (f @ w)
-
-
-def _segments_contribution(table: OpticalTable, xi: float, rel_tol: float, nodes) -> float:
-    """Adaptive per-segment integration; ``nodes(order)`` is ``_segment_nodes(table, order)``."""
-    nseg = table.omega.size - 1
-    idx = np.arange(nseg)
-    vals = _eval_segments(nodes(8), xi, idx)
-    pending = idx
-    order = 16
-    while True:
-        new = _eval_segments(nodes(order), xi, pending)
-        delta = np.abs(new - vals[pending])
-        vals[pending] = new
-        total = float(vals.sum())
-        # equidistributed per-segment error budget
-        tol_seg = rel_tol * max(abs(total), _TINY) / nseg
-        pending = pending[delta > tol_seg]
-        if pending.size == 0:
-            return total
-        if order >= 128:
-            raise ConvergenceError(
-                "per-segment KK quadrature did not converge",
-                xi=xi, order=order, unconverged_segments=int(pending.size),
-                worst_delta=float(delta.max()), total=total,
-            )
-        order *= 2
-
-
-def _tail_contribution(table: OpticalTable, xi: float, rel_tol: float) -> float:
-    """int_{w_max}^inf of the matched C/w^p tail against w/(w^2+xi^2)."""
-    C = table.high_amplitude
-    if C == 0.0:
-        return 0.0
-    p = table.high_exponent
-    W = table.omega_max
-    if xi == 0.0:
-        return C * W ** (-p) / p
-    if p == 3.0:
-        if xi <= 0.5 * W:
-            # alternating series in (xi/W)^2, exact to machine precision here
-            acc = 0.0
-            term_base = 1.0
-            ratio = (xi / W) ** 2
-            for j in range(0, 60):
-                term = term_base / ((3.0 + 2.0 * j) * W ** 3)
-                acc += term if j % 2 == 0 else -term
-                term_base *= ratio
-                if term_base / ((5.0 + 2.0 * j) * W ** 3) < 1e-17 * abs(acc):
-                    break
-            return C * acc
-        return C * (1.0 / W - (0.5 * math.pi - math.atan(W / xi)) / xi) / xi ** 2
-
-    def f(u):
-        return W ** (2.0 - p) * u ** (p - 1.0) / (W * W + xi * xi * u * u)
-
-    return C * _doubling_gl(f, 0.0, 1.0, rel_tol)
+        knee = np.minimum(min(table.omega_min, table.low_ext.nu), xs)
+        low = np.ceil(np.log(table.omega_min / knee)) + _E_FOLDS
+    elif table._low_e0 == 0.0 or not (table._low_slope or 0.0) > 0.0:
+        low = np.full_like(xs, table._low_e0 > 0.0)
+    else:
+        p = table._low_slope
+        with np.errstate(divide="ignore"):  # xi = 0 lies infinitely far below
+            above_xi = np.clip(np.log(table.omega_min / xs), 0.0, _E_FOLDS / p)
+        low = np.ceil(above_xi + (_E_FOLDS - p * above_xi) / (p + 1.0))
+        if low.max(initial=0.0) > math.log(table.omega_min) + 700.0:  # 1/w overflows
+            raise ConfigError(f"eps'' below the table falls as w^{p:.3g}, too slowly "
+                              "to integrate down to zero frequency")
+    high = np.ceil(np.log(np.maximum(xs, table.omega_max) / table.omega_max))
+    high += math.ceil(_E_FOLDS / table.high_exponent)
+    return low.astype(int), (high * (table.high_amplitude > 0.0)).astype(int)
 
 
 def kk_transform(table: OpticalTable, xi, rel_tol: float = 1e-6):
     """int_0^inf w eps''(w)/(w^2 + xi^2) dw over table plus completions.
 
-    ``xi`` is a scalar or an array; the in-range node values of each
-    quadrature order are computed once per call and shared by every xi.
+    One composite Gauss-Legendre rule in s = ln w over w^2 eps''(w)/(w^2 + xi^2),
+    eps'' from ``eps_imag_part``: a panel per table segment plus the unit
+    panels of ``_completion_panels``.  ``xi`` is a scalar or an array.  Each xi
+    doubles its own order from 8; eps'' at the nodes of an order is computed
+    once per call, and a value depends on its xi alone.
     """
     xs = np.asarray(xi, dtype=float)
     if table.low_ext is not None and np.any(xs <= 0.0):
         raise DomainError("Drude-completed transform requires xi > 0")
-    nodes = cache(partial(_segment_nodes, table))  # lives for this call only
-    out = np.array([_low_contribution(table, x, rel_tol)
-                    + _segments_contribution(table, x, rel_tol, nodes)
-                    + _tail_contribution(table, x, rel_tol) for x in map(float, xs.ravel())])
+    flat = xs.ravel()
+    low, high = _completion_panels(table, flat)
+    n_low = int(low.max(initial=0))
+    ln_w = np.log(table.omega)
+    edges = np.concatenate([ln_w[0] - np.arange(n_low, 0, -1), ln_w,
+                            ln_w[-1] + np.arange(1, int(high.max(initial=0)) + 1)])
+    rules = {}
+
+    def rule(order):
+        # per panel: 1/w at the nodes, and eps'' times the weight in s
+        if order not in rules:
+            x, w = gauss_legendre(order)
+            half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+            om = np.exp(0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
+            rules[order] = (1.0 / om, eps_imag_part(table, om) * (half * w))
+        return rules[order]
+
+    def estimate(rows, panels, order):
+        inv_om, weighted = (a[panels].ravel() for a in rule(order))
+        out = np.empty(rows.size)
+        step = max(1, _CHUNK // inv_om.size)  # bounds memory, not the values
+        for i in range(0, rows.size, step):
+            q = flat[rows[i:i + step], None] * inv_om
+            q *= q
+            q += 1.0
+            # a plain row sum: einsum's rows depend on their neighbours past 8 192 columns
+            out[i:i + step] = np.divide(weighted, q, out=q).sum(axis=1)
+        return out
+
+    out = np.empty(flat.size)
+    counts, group = np.unique(np.stack([low, high], axis=1), axis=0, return_inverse=True)
+    for g, (n_below, n_above) in enumerate(counts):
+        panels = slice(n_low - n_below, n_low + table.omega.size - 1 + n_above)
+        rows = np.flatnonzero(group.ravel() == g)
+        prev, order = estimate(rows, panels, _KK_START), 2 * _KK_START
+        while rows.size:
+            new = estimate(rows, panels, order)
+            done = np.abs(new - prev) <= rel_tol * np.abs(new)
+            out[rows[done]] = new[done]
+            if order >= _KK_CAP and not done.all():
+                bad = np.flatnonzero(~done)[0]
+                raise ConvergenceError(
+                    "dispersion transform did not converge", xi=float(flat[rows[bad]]),
+                    order=order, last=float(new[bad]), previous=float(prev[bad]),
+                    panels=(int(n_below), int(n_above)), unconverged=int((~done).sum()))
+            rows, prev, order = rows[~done], new[~done], 2 * order
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 

@@ -205,7 +205,8 @@ def _integrate_chunk(eps, zeta, rel_tol):
         T = split_at[rows]
         t, w_lag = gauss_laguerre(order)
         tail = _integrand_rows(eps_col, zeta_col, zeta_col + T[:, None] + t[None, :])
-        # einsum, unlike BLAS gemv, sums each row the same way wherever it sits
+        # einsum, unlike BLAS gemv, sums each row the same way wherever it sits,
+        # up to 8 192 columns (numpy 2.4), which _QUAD_CAP = 512 keeps
         total = np.exp(-(zeta[rows] + T)) * np.einsum("ij,j->i", tail, w_lag)
         panel_rows = np.nonzero(T > 0.0)[0]
         if panel_rows.size:

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +10,7 @@ from atomwall import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    DrudeLowFreq,
     IdealMetal,
     KKSettings,
     NinhamParsegian,
@@ -19,11 +21,12 @@ from atomwall import (
     ValidationError,
     eps_imag_part,
     eps_iw,
+    ev_to_angular,
     f0,
     kk_transform,
 )
 from atomwall import dielectric
-from atomwall.dielectric import DIELECTRIC, METAL, _low_contribution, eps_grid
+from atomwall.dielectric import DIELECTRIC, METAL, eps_grid
 from atomwall.lifshitz import _sum_grid_span
 
 from conftest import (
@@ -250,21 +253,24 @@ class TestKKTransform:
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
     def test_low_completion_matches_closed_form(self, rel_tol):
-        # eps'' = 2 n k linear in w at the first rows: the completion below
-        # the table is e0 w / w_min, whose transform is closed-form
+        # eps'' = 2 n k = e0 w / w_min over the whole table, so the power-law
+        # completion below it continues the same line; with the w^-3 tail the
+        # transform is closed-form
         omega = np.geomspace(1e13, 1e16, 40)
         table = OpticalTable(omega, np.ones_like(omega), omega / 1e16)
-        e0, v = table._low_e0, table.omega_min
+        e0, v, big_w = table._low_e0, table.omega_min, table.omega_max
         for xi in np.geomspace(1e3, 3e13, 30):
-            exact = e0 / v * (v - xi * np.arctan(v / xi))
-            assert _low_contribution(table, float(xi), rel_tol) == pytest.approx(
-                exact, rel=1e-13)
+            below_w = e0 / v * (big_w - xi * np.arctan(big_w / xi))
+            r = (xi / big_w) ** 2  # at most 1e-5: the tail's series ends at r^3
+            tail = table.high_amplitude / big_w ** 3 * (1 / 3 - r / 5 + r * r / 7 - r ** 3 / 9)
+            assert kk_transform(table, float(xi), rel_tol) == pytest.approx(
+                below_w + tail, rel=1e-13)
 
     def test_low_completion_bits_at_and_above_table_start(self, lorentz_table):
-        # pinned before the split of [0, w_min] at xi below the table
+        # at, just above and far above the first row of the table
         got = kk_transform(lorentz_table, np.array([1e13, 3e14, 1e17]), 1e-9)
         assert [float(v).hex() for v in got] == [
-            "0x1.1d68dfec61498p+2", "0x1.1b4adeb2fd7a9p+2", "0x1.4089811bf90d0p-3"]
+            "0x1.1d68dfec61498p+2", "0x1.1b4adeb2fd7a9p+2", "0x1.4089811bf90cfp-3"]
 
     def test_scalar_transform_is_a_float(self, drude_table):
         assert type(kk_transform(drude_table, 3e15)) is float
@@ -278,6 +284,74 @@ class TestKKTransform:
         assert eps_iw(wall, 3e15) == before
         # the answer stays close to the analytic oracle
         assert before == pytest.approx(drude_eps_analytic(3e15), rel=1e-3)
+
+
+def _quad_reference(table, xi):
+    """The transform by scipy quad in s = ln w: every table segment, each
+    completion out to infinity, split at ln xi where that lies outside the table."""
+    from scipy.integrate import quad
+
+    def g(s):
+        if abs(s) > 300.0:  # where every completion here has fallen by e^-60 or more
+            return 0.0
+        w = math.exp(s)
+        return eps_imag_part(table, w) * w * w / (w * w + xi * xi)
+
+    rows = np.log(table.omega)
+    cuts = sorted({-math.inf, *rows, math.inf}
+                  | ({math.log(xi)} if xi > 0.0 and not rows[0] < math.log(xi) < rows[-1]
+                     else set()))
+    return sum(quad(g, lo, hi, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def _table_config_drude(high_exponent):
+    """The 200-row 9 eV / 0.035 eV Drude table of the tabulated CLI configs."""
+    omega = ev_to_angular(np.geomspace(1e-3, 1e4, 200))
+    wp, nu = ev_to_angular(9.0), ev_to_angular(0.035)
+    n, k = drude_nk(omega, wp, nu)
+    return OpticalTable(omega, n, k, low_ext=DrudeLowFreq(wp, nu),
+                        high_exponent=high_exponent)
+
+
+class TestTransformAgainstQuad:
+    """Completions that are hard to integrate, against scipy quad in ln w."""
+
+    @pytest.mark.parametrize("p,rel_tol", [(0.5, 1e-6), (1.5, 1e-9)])
+    def test_slowly_falling_tail(self, p, rel_tol):
+        # a tail falling as w^-0.5 or w^-1.5 reaches the tolerance at every xi
+        table = _table_config_drude(p)
+        xs = np.geomspace(1e11, 1e20, 300)
+        got = kk_transform(table, xs, rel_tol)
+        for i in (0, 100, 200, 299):
+            assert got[i] == pytest.approx(_quad_reference(table, xs[i]), rel=rel_tol, abs=0.0)
+
+    @pytest.mark.parametrize("slope,rel_tol", [(0.2, 1e-11), (0.5, 1e-12)])
+    def test_slowly_falling_power_law_below_the_table(self, slope, rel_tol):
+        # eps'' ~ w^slope below the table is not smooth at w = 0, only in ln w
+        omega = np.geomspace(1e13, 1e16, 40)
+        table = OpticalTable(omega, np.full(40, 1.5), 0.1 * (omega / 1e13) ** slope)
+        xs = np.geomspace(1e5, 1e13, 30)
+        got = kk_transform(table, xs, rel_tol)
+        for i in (0, 15, 29):
+            assert got[i] == pytest.approx(_quad_reference(table, xs[i]), rel=rel_tol, abs=0.0)
+
+    def test_too_flat_power_law_raises_at_zero_frequency_only(self):
+        # at xi = 0, eps'' ~ w^0.03 falls by e^-40 only some 1 300 e-folds
+        # below the table, where 1/w overflows; at xi > 0 it falls faster below xi
+        omega = np.geomspace(1e13, 1e16, 40)
+        table = OpticalTable(omega, np.full(40, 1.5), 0.1 * (omega / 1e13) ** 0.03)
+        with pytest.raises(ConfigError):
+            kk_transform(table, 0.0)
+        for xi in (1e3, 1e10):
+            assert kk_transform(table, xi, 1e-12) == pytest.approx(
+                _quad_reference(table, xi), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("xi", [NU * (1.0 - 2e-6), NU * (1.0 + 2e-6)])
+    def test_drude_completion_at_its_relaxation_rate(self, drude_table, xi):
+        # a closed form of the Drude part cancels here, by 8.5e-13 of the whole
+        assert kk_transform(drude_table, xi, 1e-13) == pytest.approx(
+            _quad_reference(drude_table, xi), rel=1e-13, abs=0.0)
 
 
 # the tables a Matsubara sum reads through eps_grid in the interpolant tests
@@ -354,7 +428,8 @@ def test_kk_settings_validation():
 
 
 def test_kk_rel_tol_floor_is_what_the_transform_delivers(drude_table):
-    # at 1e-15 the per-segment quadrature stalls on rounding near 2.6e16 rad/s
+    # the transform converges down to 1e-15 and stalls on rounding at 1e-16;
+    # the floor comes from the sum's interpolant, tested below
     with pytest.raises(DomainError):
         KKSettings(rel_tol=1e-15)
     xi = np.geomspace(1e13, 1e17, 25)
@@ -373,14 +448,17 @@ def test_kk_rel_tol_floor_is_what_the_sum_interpolant_builds(table_name, T):
     assert np.all(np.isfinite(grid(np.geomspace(*_sum_grid_span(T), 50))))
 
 
-def test_high_tail_quadrature_path_matches_closed_form(drude_table):
-    # p = 3 goes through the closed form; a nearby exponent through quadrature
-    from atomwall.dielectric import _tail_contribution
+def test_transform_is_continuous_in_the_tail_exponent(drude_table):
+    # p = 3 takes no path of its own: moving p by 1e-9 moves the tail's share
+    # by about 3e-10 of itself, and the whole by about 1e-15 here
+    def at(p):
+        table = OpticalTable(drude_table.omega, drude_table.n, drude_table.k,
+                             low_ext=drude_table.low_ext, high_exponent=p)
+        return kk_transform(table, np.array([1e14, 2e16, 1e20]), 1e-12)
 
-    exact = _tail_contribution(drude_table, 2e16, 1e-9)
-    nearby = OpticalTable(drude_table.omega, drude_table.n, drude_table.k,
-                          low_ext=drude_table.low_ext, high_exponent=3.0 + 1e-9)
-    assert _tail_contribution(nearby, 2e16, 1e-9) == pytest.approx(exact, rel=1e-6)
+    exact = at(3.0)
+    for p in (3.0 - 1e-9, 3.0 + 1e-9):
+        assert at(p) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_concurrent_queries_match_sequential(drude_table):
