@@ -49,9 +49,9 @@ from .quadrature import gauss_laguerre, gauss_legendre
 SOFT_RANGE = (3e-9, 1e-5)   # outside: warn
 HARD_RANGE = (1e-9, 1e-4)   # outside: reject
 
-_QUAD_START = 16
+_QUAD_START = 16   # the first order at quad_rel_tol >= 1e-11
 _QUAD_CAP = 512
-_QUAD_TOL_FLOOR = 1e-11     # tightest quad_rel_tol: rows with eps - 1 ~ 1e-6 stall below it
+_QUAD_TOL_FLOOR = 1e-13     # tightest quad_rel_tol: met against a reference good to 1e-14
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
 _SERIES_TOL_FLOOR = 1e-14   # the tightest series_rel_tol accepted
 _ZETA_MAX = 60.0   # terms past zeta_l = 60 carry e^-60 of the sum: a plain sum stops there
@@ -95,10 +95,8 @@ class ComputationRequest:
         if self.a <= 0.0 or self.T <= 0.0:
             raise DomainError("separation and temperature must be positive")
         if not (HARD_RANGE[0] <= self.a <= HARD_RANGE[1]):
-            raise DomainError(
-                f"separation {self.a:g} m outside supported range "
-                f"[{HARD_RANGE[0]:g}, {HARD_RANGE[1]:g}] m"
-            )
+            raise DomainError(f"separation {self.a:g} m outside supported range "
+                              f"[{HARD_RANGE[0]:g}, {HARD_RANGE[1]:g}] m")
 
 
 @dataclass
@@ -127,31 +125,48 @@ def matsubara_zeta(l, a, T: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _sqrt_term(eps, zeta, y):
-    return np.sqrt(y * y + zeta * zeta * (eps - 1.0))
+def _reflection_parts(eps, zeta, y):
+    """(n, d_par, d_perp): r_par = (eps^2 - 1) n/d_par, r_perp = zeta^2 (eps - 1)/d_perp.
+
+    n = y^2 - zeta^2/(eps + 1), d_par = (eps y + s)^2, d_perp = (s + y)^2 and
+    s = sqrt(y^2 + zeta^2 (eps - 1)): no term cancels, where (eps y - s)/(eps y + s)
+    and (s - y)/(s + y) lose 1e-16/(eps - 1) of their value.  ``y`` has the
+    shape of the result; arrays made from it are reused in place.
+    """
+    zeta2 = zeta * zeta
+    n = y * y
+    s = n + zeta2 * (eps - 1.0)
+    s **= 0.5   # the square root in place, and on the scalars of the public functions
+    d_par = eps * y
+    d_par += s
+    d_par *= d_par
+    s += y
+    s *= s
+    n -= zeta2 / (eps + 1.0)
+    return n, d_par, s
 
 
-def _check_reflection_args(eps, zeta, y):
-    if np.any(np.asarray(eps) < 1.0):
+def _reflection(eps, zeta, y):
+    """(r_par, r_perp), both in [0, 1), at arguments that broadcast together."""
+    eps, zeta, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (eps, zeta, y)))
+    if np.any(eps < 1.0):
         raise DomainError("permittivity at imaginary frequency must be >= 1")
-    if np.any(np.asarray(zeta) < 0.0):
+    if np.any(zeta < 0.0):
         raise DomainError("zeta must be >= 0")
-    if np.any(np.asarray(y) <= 0.0) or np.any(np.asarray(y) < np.asarray(zeta)):
+    if np.any(y <= 0.0) or np.any(y < zeta):
         raise DomainError("need y >= zeta and y > 0")
+    n, d_par, d_perp = _reflection_parts(eps, zeta, y)
+    return (eps - 1.0) * (eps + 1.0) * n / d_par, zeta * zeta * (eps - 1.0) / d_perp
 
 
 def reflection_par(eps, zeta, y):
     """Parallel-polarization reflection coefficient, in [0, 1)."""
-    _check_reflection_args(eps, zeta, y)
-    s = _sqrt_term(eps, zeta, y)
-    return (eps * y - s) / (eps * y + s)
+    return _reflection(eps, zeta, y)[0]
 
 
 def reflection_perp(eps, zeta, y):
     """Perpendicular-polarization reflection coefficient, in [0, 1)."""
-    _check_reflection_args(eps, zeta, y)
-    s = _sqrt_term(eps, zeta, y)
-    return (s - y) / (s + y)
+    return _reflection(eps, zeta, y)[1]
 
 
 def ideal_metal_integral(zeta):
@@ -167,29 +182,19 @@ def ideal_metal_integral(zeta):
 
 
 def _integrand_rows(eps_col, zeta_col, y):
-    """Integrand of the per-frequency integral without the e^{-y} weight.
+    """The per-frequency integrand over its row factor 2 (eps^2 - 1), without e^{-y}.
 
-    The operations and their order are those of
-    (2y^2 - zeta^2) r_par + zeta^2 r_perp written out, so the bits are the
-    same; the full-size temporaries are reused in place to stay in cache.
+    (2y^2 - zeta^2) r_par + zeta^2 r_perp = 2 (eps^2 - 1) [(y^2 - h) n/d_par + h c/d_perp],
+    positive terms with h = zeta^2/2, c = zeta^2/(eps + 1) and n = y^2 - c,
+    d_par, d_perp of ``_reflection_parts``; the caller applies the factor.
     """
+    n, out, d_perp = _reflection_parts(eps_col, zeta_col, y)
     zeta2 = zeta_col * zeta_col
-    s = y * y
-    s += zeta2 * (eps_col - 1.0)
-    np.sqrt(s, out=s)
-    ey = eps_col * y
-    r_par = ey - s
-    ey += s
-    r_par /= ey
-    r_perp = np.subtract(s, y, out=ey)
-    s += y
-    r_perp /= s
-    out = np.multiply(y, 2.0, out=s)
-    out *= y
-    out -= zeta2
-    out *= r_par
-    r_perp *= zeta2
-    out += r_perp
+    h, c = 0.5 * zeta2, zeta2 / (eps_col + 1.0)
+    np.divide(n, out, out=out)
+    n += c - h
+    out *= n
+    out += np.divide(h * c, d_perp, out=d_perp)
     return out
 
 
@@ -200,8 +205,7 @@ def _integrate_chunk(eps, zeta, rel_tol):
     split_at = np.where(near, np.clip(5.0 * zeta * np.sqrt(eps), 0.5, 2.0), 0.0)
 
     def evaluate(rows, order):
-        eps_col = eps[rows, None]
-        zeta_col = zeta[rows, None]
+        eps_col, zeta_col = eps[rows, None], zeta[rows, None]
         T = split_at[rows]
         t, w_lag = gauss_laguerre(order)
         tail = _integrand_rows(eps_col, zeta_col, zeta_col + T[:, None] + t[None, :])
@@ -212,23 +216,23 @@ def _integrate_chunk(eps, zeta, rel_tol):
         if panel_rows.size:
             x, w_leg = gauss_legendre(order)
             half = 0.5 * T[panel_rows, None]
-            tt = half * (x[None, :] + 1.0)
+            minus_t = -half * (x[None, :] + 1.0)
             g = _integrand_rows(eps_col[panel_rows], zeta_col[panel_rows],
-                                zeta_col[panel_rows] + tt)
-            g *= np.exp(-tt)
+                                zeta_col[panel_rows] - minus_t)
+            g *= np.exp(minus_t)
             panel = half[:, 0] * np.einsum("ij,j->i", g, w_leg)
             total[panel_rows] += np.exp(-zeta[rows][panel_rows]) * panel
         return total
 
+    order = _QUAD_START * (4 if rel_tol < 1e-12 else 2 if rel_tol < 1e-11 else 1)
     pending = np.arange(eps.size)
-    vals = evaluate(pending, _QUAD_START)
+    vals = evaluate(pending, order)
     orders = np.empty(eps.size, dtype=int)
-    order = 2 * _QUAD_START
+    order *= 2
     worst_delta = 0.0
     while True:
         new = evaluate(pending, order)
-        old = vals[pending]
-        delta = np.abs(new - old)
+        delta = np.abs(new - vals[pending])
         scale = np.maximum(np.abs(new), 1e-300)
         vals[pending] = new
         orders[pending] = order
@@ -237,14 +241,14 @@ def _integrate_chunk(eps, zeta, rel_tol):
             worst_delta = max(worst_delta, float((delta[converged] / scale[converged]).max()))
         pending = pending[~converged]
         if pending.size == 0:
+            vals *= 2.0 * (eps - 1.0) * (eps + 1.0)   # the row factor of _integrand_rows
             return vals, np.where(split_at > 0.0, 2 * orders, orders), worst_delta
         if order >= _QUAD_CAP:
             raise ConvergenceError(
                 "per-frequency quadrature did not converge within the node budget",
                 order=order, unconverged=int(pending.size),
                 worst_rel_delta=float((delta[~converged] / scale[~converged]).max()),
-                zeta=zeta[pending][:8].tolist(), eps=eps[pending][:8].tolist(),
-            )
+                zeta=zeta[pending][:8].tolist(), eps=eps[pending][:8].tolist())
         order *= 2
 
 
@@ -258,9 +262,10 @@ def _matsubara_integral_block(eps, zeta, rel_tol):
     integrated as a Gauss-Legendre panel over [0, T], T = 5 zeta sqrt(eps)
     held to [0.5, 2], plus a Gauss-Laguerre rule beyond T; any other row is
     pure Gauss-Laguerre.  Both pieces share one order that doubles from
-    ``_QUAD_START`` until successive composite estimates agree to
-    ``rel_tol``.  Rows are taken in chunks of ``_CHUNK``, and each row's
-    value depends on that row alone.
+    ``_QUAD_START`` (x2 below 1e-11, x4 below 1e-12: where zeta sqrt(eps) is
+    a few 1e-4, orders 16 and 32 agree to 1e-12 but both miss that much near
+    t = 0) until successive composite estimates agree to ``rel_tol``.  Rows
+    are taken in chunks of ``_CHUNK``; each row's value depends on it alone.
 
     Returns (values, nodes used per row, max_final_rel_delta).
     """
@@ -273,13 +278,9 @@ def _matsubara_integral_block(eps, zeta, rel_tol):
 
 
 def matsubara_integral(eps: float, zeta: float, quad_rel_tol: float = 1e-9) -> float:
-    """int_zeta^inf dy e^{-y} [(2y^2 - zeta^2) r_par + zeta^2 r_perp].
+    """int_zeta^inf dy e^{-y} [(2y^2 - zeta^2) r_par + zeta^2 r_perp], always >= 0.
 
-    Evaluated after the shift y = zeta + t as
-    e^{-zeta} int_0^inf e^{-t} g(zeta + t) dt with Gauss-Laguerre rules, and
-    a Gauss-Legendre panel near the lower limit where zeta or the branch
-    width is small, whose order doubles (16 up to 512) until successive
-    estimates agree to ``quad_rel_tol``.  Always >= 0.
+    Gauss-Laguerre rules and a panel near y = zeta, doubled until they meet ``quad_rel_tol``.
     """
     if eps < 1.0:
         raise DomainError("permittivity at imaginary frequency must be >= 1")
@@ -425,9 +426,8 @@ def free_energy_batch(requests) -> list:
         prefactor = K_B * T / (8.0 * req.a ** 3)
         result_f = -prefactor * float(bracket0 + thermal[i])
         if isinstance(atom, TabulatedAlpha) and xi1 * l_top[i] > atom.xi[-1]:
-            warnings[i].append(
-                "polarizability table extrapolated beyond its last row (1/xi^2 tail)"
-            )
+            warnings[i].append("polarizability table extrapolated beyond its last row "
+                               "(1/xi^2 tail)")
         results.append(FreeEnergyResult(
             free_energy=result_f,
             classical_term=-prefactor * bracket0,

@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomwall import (
@@ -85,6 +86,16 @@ class TestMatsubaraZeta:
             matsubara_zeta(1, np.array([1e-8, 0.0]), 300.0)
 
 
+def _textbook(eps, zeta, y):
+    """r_par, r_perp and (2y^2 - zeta^2) r_par + zeta^2 r_perp, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e, z, y = Decimal(float(eps)), Decimal(float(zeta)), Decimal(float(y))
+        s = (y * y + z * z * (e - 1)).sqrt() if z else y   # y * y is rounded to 60 digits
+        r_par, r_perp = (e * y - s) / (e * y + s), (s - y) / (s + y)
+        return r_par, r_perp, (2 * y * y - z * z) * r_par + z * z * r_perp
+
+
 class TestReflectionCoefficients:
     def test_vacuum(self):
         assert reflection_par(1.0, 0.5, 1.0) == 0.0
@@ -126,21 +137,36 @@ class TestReflectionCoefficients:
         for r in (reflection_par(eps, zeta, y), reflection_perp(eps, zeta, y)):
             assert 0.0 <= r < 1.0
 
+    def test_against_high_precision_reference(self):
+        # eps - 1 down to 1e-12, where the quotients (eps y - s)/(eps y + s) and
+        # (s - y)/(s + y) lose about 1e-16/(eps - 1) of their value in doubles
+        rng = np.random.default_rng(23)
+        eps = 1.0 + 10.0 ** rng.uniform(-12.0, 7.0, 400)
+        zeta = 10.0 ** rng.uniform(-6.0, math.log10(60.0), 400) * (rng.random(400) > 0.1)
+        y = zeta + 10.0 ** rng.uniform(-6.0, 2.0, 400)
+        # rows whose textbook r_par loses about 1e-4, 4e-11 and 1e-7 of its value
+        weak = [(1.0 + 1e-12, 30.0, 31.0), (1.0 + 2.6e-6, 56.0, 57.5), (1.0 + 1e-9, 1e-6, 1e-6)]
+        eps, zeta, y = (np.concatenate([v, w]) for v, w in zip((eps, zeta, y), zip(*weak)))
+        computed = (reflection_par(eps, zeta, y), reflection_perp(eps, zeta, y),
+                    _integrand(eps, zeta, y))
+        for got, want in zip(computed, zip(*map(_textbook, eps, zeta, y))):
+            want = np.array([float(w) for w in want])
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
     @settings(max_examples=50, deadline=None)
     @given(
         rows=st.lists(st.tuples(st.floats(1.0, 1e8), st.floats(0.0, 1e3)),
                       min_size=1, max_size=6),
         t=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
     )
-    def test_integrand_rows_is_the_written_out_integrand(self, rows, t):
-        from atomwall.lifshitz import _integrand_rows
-
+    def test_integrand_rows_is_built_from_the_coefficients(self, rows, t):
         eps_col, zeta_col = np.array(rows).T[:, :, None]
         y = zeta_col + np.array(t)[None, :]
         r_par = reflection_par(eps_col, zeta_col, y)
         r_perp = reflection_perp(eps_col, zeta_col, y)
         written_out = (2.0 * y * y - zeta_col ** 2) * r_par + zeta_col ** 2 * r_perp
-        assert np.array_equal(_integrand_rows(eps_col, zeta_col, y), written_out)
+        integrand = _integrand(eps_col, zeta_col, y)
+        assert np.all(np.abs(integrand - written_out) <= 1e-14 * written_out)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -174,12 +200,18 @@ class TestMatsubaraIntegral:
             matsubara_integral(2.0, -0.1)
 
 
+def _integrand(eps_col, zeta_col, y):
+    """The per-frequency integrand: _integrand_rows times its row factor."""
+    return 2.0 * (eps_col - 1.0) * (eps_col + 1.0) * _integrand_rows(eps_col, zeta_col, y)
+
+
 def _dense_reference(eps, zeta, order=48):
     """Per-frequency integrals by composite Gauss-Legendre in t = y - zeta.
 
     Every singularity of the integrand lies at least zeta from t = 0, so
     panels that grow by 1.5 from 1e-3 min(zeta, 1) up to t = 120 (e^-120 of
-    the integral left) each see it far outside their own width.
+    the integral left; reached for zeta >= 5e-6) each see it far outside
+    their own width.
     """
     eps_col = np.asarray(eps, dtype=float)[:, None]
     zeta_col = np.asarray(zeta, dtype=float)[:, None]
@@ -188,14 +220,15 @@ def _dense_reference(eps, zeta, order=48):
     edges = np.concatenate([np.zeros_like(zeta_col), edges], axis=1)
     half = 0.5 * np.diff(edges, axis=1)
     t = (edges[:, :-1, None] + half[:, :, None] * (x + 1.0)).reshape(edges.shape[0], -1)
-    g = _integrand_rows(eps_col, zeta_col, zeta_col + t) * np.exp(-t)
+    g = _integrand(eps_col, zeta_col, zeta_col + t) * np.exp(-t)
     panels = g.reshape(half.shape + (order,)) @ w
     return np.exp(-zeta_col[:, 0]) * (half * panels).sum(axis=1)
 
 
 # the (eps, zeta) rows of the reference check: small and large zeta, eps near 1 and large
 _CHECKED_ROWS = [(1.05, 1e-3), (2526.0, 0.0216), (3.84, 0.02), (1.7e7, 0.1), (1.5, 2.0),
-                 (1.0001, 40.0), (400.0, 5.0), (12.0, 60.0)]
+                 (1.0001, 40.0), (400.0, 5.0), (12.0, 60.0), (1.0 + 1e-10, 50.0),
+                 (1.0 + 1e-6, 1e-3)]
 
 
 def test_dense_reference_matches_scipy_quad():
@@ -204,20 +237,21 @@ def test_dense_reference_matches_scipy_quad():
     eps, zeta = np.array(_CHECKED_ROWS).T
     for e, z, ref in zip(eps, zeta, _dense_reference(eps, zeta)):
         def f(t):
-            return float(_integrand_rows(np.array([[e]]), np.array([[z]]),
-                                         np.array([[z + t]]))[0, 0] * math.exp(-z - t))
+            return float(_integrand(np.array([[e]]), np.array([[z]]),
+                                    np.array([[z + t]]))[0, 0] * math.exp(-z - t))
         breaks = sorted({0.0, 100.0} | {p for p in (z / 100, z, z * math.sqrt(e - 1.0), 1.0, 10.0)
                                          if 0.0 < p < 100.0})
         value = sum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=500)[0]
                     for lo, hi in zip(breaks[:-1], breaks[1:]))
-        # a tenth of the tightest quad_rel_tol; at eps - 1 = 1e-4 the integrand's
-        # own rounding is about 1e-12
-        assert ref == pytest.approx(value, rel=1e-12, abs=0.0), (e, z)
+        # a tenth of the tightest quad_rel_tol
+        assert ref == pytest.approx(value, rel=1e-14, abs=0.0), (e, z)
 
 
-# the five wall models a sum integrates, each read at an imaginary frequency
+# the wall models a sum integrates, each read at an imaginary frequency; the
+# weak plasma reaches eps - 1 of about 1e-10
 _QUAD_WALLS = {
     "plasma": Plasma(ev_to_angular(9.0)),
+    "weak_plasma": Plasma(ev_to_angular(0.05)),
     "ninham_parsegian": NinhamParsegian(((1.93, ev_to_angular(0.13)),
                                          (0.91, ev_to_angular(12.5)))),
     "static": StaticPermittivity(4.0),
@@ -233,10 +267,13 @@ class TestQuadratureAgainstDenseReference:
     @given(
         wall=st.sampled_from(list(_QUAD_WALLS)),
         # log10 of (separation [m], zeta): eps is read at xi = zeta c/(2a)
-        rows=st.lists(st.tuples(st.floats(-9.0, -4.0), st.floats(-3.0, math.log10(60.0))),
+        rows=st.lists(st.tuples(st.floats(-9.0, -4.0), st.floats(-5.0, math.log10(60.0))),
                       min_size=1, max_size=6),
-        quad_rel_tol=st.sampled_from([1e-9, 1e-11]),
+        quad_rel_tol=st.sampled_from([1e-9, 1e-11, 1e-13]),
     )
+    # zeta sqrt(eps) = 3e-4, where orders 16 and 32 agree to 1e-12 and both miss as much
+    @example(wall="static", rows=[(-9.0, math.log10(1.55e-4))], quad_rel_tol=1e-12)
+    @example(wall="static", rows=[(-9.0, math.log10(1.55e-4))], quad_rel_tol=1e-13)
     def test_within_quad_rel_tol(self, wall, rows, quad_rel_tol):
         a, zeta = 10.0 ** np.array(rows).T
         eps = eps_iw(_QUAD_WALLS[wall], zeta * C_LIGHT / (2.0 * a))
@@ -428,12 +465,28 @@ class TestFreeEnergy:
         with pytest.raises(DomainError):
             NumericalTolerances(max_terms=0)
 
-    def test_quad_rel_tol_floor_is_what_the_quadrature_delivers(self):
-        # below 1e-11 the doubling stalls at order 512 on rows where eps - 1
-        # is a few 1e-6, whose integrand carries that much rounding
+    def test_quad_rel_tol_floor_is_what_the_quadrature_delivers(self, helium_like_atom):
+        # the floor is the tightest quad_rel_tol the dense reference is checked
+        # to (test_dense_reference_matches_scipy_quad holds it to a tenth)
         with pytest.raises(DomainError):
-            NumericalTolerances(quad_rel_tol=1e-12)
-        assert NumericalTolerances(quad_rel_tol=1e-11).quad_rel_tol == 1e-11
+            NumericalTolerances(quad_rel_tol=1e-14)
+        tol = NumericalTolerances(quad_rel_tol=1e-13)
+        # at 1 nm the sum reads eps - 1 down to 7e-11, 1e-7 and 2e-6 on these walls
+        for omega_p_eV in (0.05, 2.0, 9.0):
+            res = free_energy(ComputationRequest(atom=helium_like_atom,
+                                                 wall=Plasma(ev_to_angular(omega_p_eV)),
+                                                 a=1e-9, T=300.0, tol=tol))
+            assert res.free_energy < 0.0
+
+    @pytest.mark.parametrize("omega_p_eV,quad_rel_tol", [(0.2, 1e-9), (2.0, 1e-11)])
+    def test_weak_plasma_wall_at_1nm(self, helium_like_atom, omega_p_eV, quad_rel_tol):
+        # eps - 1 falls to 1e-9 (0.2 eV) and 1e-7 (2 eV) at zeta = 60
+        def f(quad_rel_tol):
+            tol = NumericalTolerances(quad_rel_tol=quad_rel_tol)
+            return free_energy(ComputationRequest(atom=helium_like_atom,
+                                                  wall=Plasma(ev_to_angular(omega_p_eV)),
+                                                  a=1e-9, T=300.0, tol=tol)).free_energy
+        assert f(quad_rel_tol) == pytest.approx(f(1e-13), rel=quad_rel_tol, abs=0.0)
 
     def test_loosest_series_rel_tol_reads_no_term_below_one(self, monkeypatch,
                                                            helium_like_atom):
@@ -536,7 +589,8 @@ class TestSeriesTolerance:
     @pytest.mark.parametrize("wall", [
         Plasma(ev_to_angular(9.0)),
         NinhamParsegian(((1.93, ev_to_angular(0.13)), (0.91, ev_to_angular(12.5)))),
-    ], ids=["plasma", "ninham_parsegian"])
+        Plasma(ev_to_angular(0.05)),
+    ], ids=["plasma", "ninham_parsegian", "weak_plasma"])
     def test_series_rel_tol_holds_at_3nm(self, wall, helium_like_atom):
         assert _series_tol_changes(helium_like_atom, wall, [3e-9])[0] <= 1e-9
 
