@@ -90,8 +90,8 @@ def test_rows_integrated_stay_close_to_terms_summed(monkeypatch, drude_table):
 
 
 def test_max_terms_exhaustion_names_first_request_in_order():
-    tol = NumericalTolerances(max_terms=100)
-    # 3 nm and 40 nm plan 126 evaluations each (L = 26); 1 um plans 37 and 10 um 4
+    tol = NumericalTolerances(max_terms=60)
+    # 3 nm and 40 nm plan 78 evaluations each (L = 26, 3 tail panels); 1 um plans 37 and 10 um 4
     short, mid, far, farthest = [
         ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
         for a in (3e-9, 4e-8, 1e-6, 1e-5)
@@ -102,7 +102,7 @@ def test_max_terms_exhaustion_names_first_request_in_order():
         free_energy_batch([far, short, farthest])
     assert err.value.diagnostics["a"] == 3e-9
     assert err.value.diagnostics == alone.value.diagnostics
-    assert err.value.diagnostics == {"max_terms": 100, "evaluations": 126, "a": 3e-9, "T": 300.0}
+    assert err.value.diagnostics == {"max_terms": 60, "evaluations": 78, "a": 3e-9, "T": 300.0}
     for order in ([mid, short, far], [short, far, mid]):
         with pytest.raises(ConvergenceError) as err:
             free_energy_batch(order)
@@ -117,12 +117,12 @@ def test_max_terms_exhaustion_raises_before_any_integration(monkeypatch):
         raise AssertionError("integrated before the plan was checked")
 
     monkeypatch.setattr(lifshitz, "_matsubara_integral_block", no_integration)
-    tol = NumericalTolerances(max_terms=125)
+    tol = NumericalTolerances(max_terms=77)
     requests = [ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
                 for a in (1e-6, 3e-9)]
     with pytest.raises(ConvergenceError) as err:
         free_energy_batch(requests)
-    assert err.value.diagnostics["evaluations"] == 126
+    assert err.value.diagnostics["evaluations"] == 78
 
 
 def test_max_quad_nodes_covers_summed_rows(helium_like_atom):

@@ -41,7 +41,12 @@ from atomwall import (
 from atomwall import lifshitz
 from atomwall.constants import C_LIGHT
 from atomwall.dielectric import DIELECTRIC, METAL, DrudeLowFreq, OpticalTable, eps_grid
-from atomwall.lifshitz import _integrand_rows, _matsubara_integral_block, _sum_grid_span
+from atomwall.lifshitz import (
+    _integrand_rows,
+    _matsubara_integral_block,
+    _row_constants,
+    _sum_grid_span,
+)
 from atomwall.quadrature import gauss_legendre
 
 from conftest import drude_nk, make_drude_table, make_lorentz_table
@@ -202,7 +207,8 @@ class TestMatsubaraIntegral:
 
 def _integrand(eps_col, zeta_col, y):
     """The per-frequency integrand: _integrand_rows times its row factor."""
-    return 2.0 * (eps_col - 1.0) * (eps_col + 1.0) * _integrand_rows(eps_col, zeta_col, y)
+    return (2.0 * (eps_col - 1.0) * (eps_col + 1.0)
+            * _integrand_rows(_row_constants(eps_col, zeta_col), y))
 
 
 def _dense_reference(eps, zeta, order=48):
@@ -613,12 +619,15 @@ _REF_WALLS = {
                                          (0.91, ev_to_angular(12.5)))),
     "ideal_metal": IdealMetal(),
     "drude_table": TabulatedKK(make_drude_table(), METAL),
+    "weak_plasma": Plasma(ev_to_angular(0.05)),
 }
 _OSCILLATOR = OscillatorSet((0.5935,), (ev_to_angular(1.18),))
 _ALPHA_ROWS = ev_to_angular(np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 119))))
 _REF_ATOMS = {"oscillator": _OSCILLATOR,
-              "tabulated": TabulatedAlpha(_ALPHA_ROWS, alpha_iw(_OSCILLATOR, _ALPHA_ROWS))}
+              "tabulated": TabulatedAlpha(_ALPHA_ROWS, alpha_iw(_OSCILLATOR, _ALPHA_ROWS)),
+              "static": StaticAlpha(ALPHA0)}
 _REF_SEPARATIONS = (1e-9, 3e-9, 3e-8, 1e-6, 1e-5)
+_REF_MAX_TERMS = 400_000   # longer plain sums (1 and 3 nm at 4 K) are left out
 
 
 @lru_cache(maxsize=None)
@@ -637,21 +646,29 @@ def _plain_sum_integrals(wall_name, a, T):
     return ls, _matsubara_integral_block(eps, tau * ls, 1e-11)[0]
 
 
+@lru_cache(maxsize=None)
+def _plain_sum_reference(wall_name, atom_name, a, T):
+    """F from every term up to zeta_l = 60, shared by every series_rel_tol."""
+    wall, atom = _REF_WALLS[wall_name], _REF_ATOMS[atom_name]
+    ls, integrals = _plain_sum_integrals(wall_name, a, T)
+    bracket = (2.0 * alpha_iw(atom, 0.0) * f0(wall)
+               + math.fsum(alpha_iw(atom, _sum_grid_span(T)[0] * ls) * integrals))
+    return -CODATA.k_B * T / (8.0 * a ** 3) * bracket
+
+
 class TestPlainSumReference:
     """The sum against every term up to zeta_l = 60, at the same quad_rel_tol."""
 
-    @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-11])
-    @pytest.mark.parametrize("T", [30.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+    @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
     @pytest.mark.parametrize("atom_name", list(_REF_ATOMS))
     @pytest.mark.parametrize("wall_name", list(_REF_WALLS))
     def test_within_series_rel_tol(self, wall_name, atom_name, T, series_rel_tol):
         wall, atom = _REF_WALLS[wall_name], _REF_ATOMS[atom_name]
-        xi1 = _sum_grid_span(T)[0]
         for a in _REF_SEPARATIONS:
-            ls, integrals = _plain_sum_integrals(wall_name, a, T)
-            bracket = (2.0 * alpha_iw(atom, 0.0) * f0(wall)
-                       + math.fsum(alpha_iw(atom, xi1 * ls) * integrals))
-            reference = -CODATA.k_B * T / (8.0 * a ** 3) * bracket
+            if 60.0 / matsubara_zeta(1, a, T) > _REF_MAX_TERMS:
+                continue
+            reference = _plain_sum_reference(wall_name, atom_name, a, T)
             tol = NumericalTolerances(series_rel_tol=series_rel_tol, quad_rel_tol=1e-11)
             res = free_energy(ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol))
             assert abs(res.free_energy / reference - 1.0) <= series_rel_tol, a
