@@ -14,27 +14,21 @@ config yields byte-identical bytes, and CSV files carry the config's SHA-256
 digest in a header comment.  The separations of one atom and wall model are
 evaluated as one ``free_energy_batch`` call, in a single thread.
 
-Exit codes: 0 success, 2 usage errors, 3 config/validation errors,
+Exit codes: 0 success, 2 usage errors (including a config that cannot be read
+and an output that cannot be written), 3 config/validation errors,
 4 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .dataio import RunConfig, parse_run_config
 from .dielectric import eps_iw
-from .errors import (
-    AtomWallError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    ParseError,
-    UsageError,
-    ValidationError,
-)
+from .errors import AtomWallError, ConfigError, ConvergenceError, UsageError
 from .lifshitz import ComputationRequest, free_energy_batch
 from .polarizability import alpha_iw
 
@@ -51,15 +45,13 @@ def _fmt(value) -> str:
 def _emit(config: RunConfig, stream, fmt: str, columns, rows) -> None:
     """Write ``rows`` under ``columns`` as JSON, or as CSV after the digest comment."""
     if fmt == "json":
-        payload = {"config_sha256": config.digest,
-                   "rows": [dict(zip(columns, row)) for row in rows]}
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
-        return
-    print(f"# config_sha256={config.digest}", file=stream)
-    print(",".join(columns), file=stream)
-    for row in rows:
-        print(",".join(map(_fmt, row)), file=stream)
+        text = json.dumps({"config_sha256": config.digest,
+                           "rows": [dict(zip(columns, row)) for row in rows]},
+                          sort_keys=True, indent=2)
+    else:
+        text = "\n".join([f"# config_sha256={config.digest}", ",".join(columns),
+                          *(",".join(map(_fmt, row)) for row in rows)])
+    stream.write(text + "\n")
 
 
 def _require(config: RunConfig, *fields):
@@ -77,7 +69,8 @@ def _evaluate_separations(config: RunConfig, atom, wall):
     )
 
 
-def cmd_energy(config: RunConfig, stream) -> None:
+def cmd_energy(config: RunConfig, stream, fmt: str) -> None:
+    """One ``key=value`` line per separation; ``fmt`` does not apply."""
     _require(config, "atom", "wall", "separations", "temperature")
     results = _evaluate_separations(config, config.atom, config.wall)
     for a_nm, res in zip(config.separations_nm, results):
@@ -117,21 +110,15 @@ def cmd_table(config: RunConfig, stream, fmt: str) -> None:
     _emit(config, stream, fmt, columns, rows)
 
 
-def _dump_rows(config: RunConfig, values_of):
-    frequencies = config.grid.frequencies()
-    return [(float(x), float(v)) for x, v in zip(frequencies, values_of(frequencies))]
-
-
-def cmd_epsilon(config: RunConfig, stream, fmt: str) -> None:
-    _require(config, "wall", "grid")
-    rows = _dump_rows(config, lambda xs: eps_iw(config.wall, xs))
-    _emit(config, stream, fmt, ("xi_rad_s", "value"), rows)
-
-
-def cmd_alpha(config: RunConfig, stream, fmt: str) -> None:
-    _require(config, "atom", "grid")
-    rows = _dump_rows(config, lambda xs: alpha_iw(config.atom, xs))
-    _emit(config, stream, fmt, ("xi_rad_s", "value"), rows)
+def _dump_handler(model_field: str, response):
+    """A handler that dumps ``response(model, xi)`` of the config's ``model_field`` on its grid."""
+    def handler(config: RunConfig, stream, fmt: str) -> None:
+        _require(config, model_field, "grid")
+        frequencies = config.grid.frequencies()
+        values = response(getattr(config, model_field), frequencies)
+        _emit(config, stream, fmt, ("xi_rad_s", "value"),
+              [(float(x), float(v)) for x, v in zip(frequencies, values)])
+    return handler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,40 +142,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
 _DISPATCH = {
-    "energy": lambda cfg, stream, fmt: cmd_energy(cfg, stream),
+    "energy": cmd_energy,
     "sweep": cmd_sweep,
     "table": cmd_table,
-    "epsilon": cmd_epsilon,
-    "alpha": cmd_alpha,
+    # the lambdas read eps_iw and alpha_iw from this module when called, so a
+    # wrapper installed on the module later is the one that runs
+    "epsilon": _dump_handler("wall", lambda wall, xi: eps_iw(wall, xi)),
+    "alpha": _dump_handler("atom", lambda atom, xi: alpha_iw(atom, xi)),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
+        # the config is parsed before --out is opened, so a bad one truncates nothing
         config = parse_run_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ValidationError, ConfigError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    fmt = args.format or config.output_format
-    out_path = args.out or config.output_path
-    try:
-        if out_path is None:
-            _DISPATCH[args.command](config, sys.stdout, fmt)
-        else:
-            with open(out_path, "w", encoding="utf-8") as stream:
-                _DISPATCH[args.command](config, stream, fmt)
-    except UsageError as err:
+        out_path = args.out or config.output_path
+        with (open(out_path, "w", encoding="utf-8") if out_path is not None
+              else contextlib.nullcontext(sys.stdout)) as stream:
+            _DISPATCH[args.command](config, stream, args.format or config.output_format)
+    except (OSError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, ConfigError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConvergenceError as err:
         print(f"error: {err} diagnostics={err.diagnostics}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -35,7 +35,7 @@ from .dielectric import (
     StaticPermittivity,
     TabulatedKK,
 )
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import AtomWallError, ConfigError, ParseError, ValidationError
 from .lifshitz import NumericalTolerances
 from .polarizability import OscillatorSet, StaticAlpha, TabulatedAlpha
 
@@ -48,22 +48,25 @@ def read_numeric_rows(path, n_cols: int):
     ParseError naming the line.
     """
     path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err}", path=path) from err
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].replace(",", " ").strip()
-            if not text:
-                continue
-            tokens = text.split()
-            if len(tokens) != n_cols:
-                raise ParseError(
-                    f"expected {n_cols} columns, got {len(tokens)}", path=path, line=lineno
-                )
-            try:
-                values = tuple(float(tok) for tok in tokens)
-            except ValueError:
-                raise ParseError(f"non-numeric value in row {tokens}", path=path, line=lineno)
-            rows.append((lineno, values))
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].replace(",", " ").strip()
+        if not text:
+            continue
+        tokens = text.split()
+        if len(tokens) != n_cols:
+            raise ParseError(
+                f"expected {n_cols} columns, got {len(tokens)}", path=path, line=lineno
+            )
+        try:
+            values = tuple(float(tok) for tok in tokens)
+        except ValueError:
+            raise ParseError(f"non-numeric value in row {tokens}", path=path, line=lineno)
+        rows.append((lineno, values))
     return rows
 
 
@@ -186,8 +189,8 @@ def _resolve(base: Path, spec: dict) -> Path:
     p = Path(spec["file"])
     if not p.is_absolute():
         p = (base / p).resolve()
-    if not p.exists():
-        raise ConfigError(f"referenced file does not exist: {p}")
+    if not p.is_file():
+        raise ConfigError(f"referenced file does not exist or is not a file: {p}")
     spec["file"] = str(p)
     return p
 
@@ -292,14 +295,28 @@ def _parse_separations(spec) -> tuple[np.ndarray, list]:
 
 
 def parse_run_config(path) -> RunConfig:
-    """Load, validate and fully resolve a JSON run configuration."""
+    """Load, validate and fully resolve a JSON run configuration.
+
+    An unreadable file raises OSError, and malformed content a ConfigError.
+    """
     path = Path(path)
     raw_bytes = path.read_bytes()
-    digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
         doc = json.loads(raw_bytes.decode("utf-8"))
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", path=path, line=err.lineno) from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err}", path=path) from err
+    try:
+        return _build_config(doc, path, hashlib.sha256(raw_bytes).hexdigest())
+    except AtomWallError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as err:
+        raise ValidationError(f"malformed config ({type(err).__name__}: {err})",
+                              path=path) from err
+
+
+def _build_config(doc, path: Path, digest: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object", path=path)
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -384,15 +401,12 @@ def parse_run_config(path) -> RunConfig:
 def _parse_tolerances(spec) -> NumericalTolerances:
     if spec is None:
         return NumericalTolerances()
+    casts = {"series_rel_tol": float, "quad_rel_tol": float, "max_terms": int}
     # consecutive_small is accepted, for older configs, and has no effect
-    unknown = set(spec) - {"series_rel_tol", "quad_rel_tol", "max_terms", "consecutive_small"}
+    unknown = set(spec) - {*casts, "consecutive_small"}
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
-    return NumericalTolerances(
-        series_rel_tol=float(spec.get("series_rel_tol", 1e-9)),
-        quad_rel_tol=float(spec.get("quad_rel_tol", 1e-9)),
-        max_terms=int(spec.get("max_terms", 10 ** 6)),
-    )
+    return NumericalTolerances(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})
 
 
 def _parse_kk(spec) -> KKSettings:

@@ -97,12 +97,12 @@ class OpticalTable:
     high_exponent: float = 3.0
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        n = np.asarray(self.n, dtype=float)
-        k = np.asarray(self.k, dtype=float)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+        # read-only copies: an edit of the caller's arrays cannot reach the table
+        for name in ("omega", "n", "k"):
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        omega, n, k = self.omega, self.n, self.k
         if omega.ndim != 1 or omega.shape != n.shape or omega.shape != k.shape:
             raise ValidationError("omega, n, k must be 1-d arrays of equal length")
         if omega.size < 8:
@@ -118,7 +118,6 @@ class OpticalTable:
         if self.high_exponent <= 0.0:
             raise ValidationError("high-frequency tail exponent must be positive")
         eps2 = 2.0 * n * k
-        object.__setattr__(self, "_eps2_rows", eps2)
         # tail amplitude matched at the last row: eps''(w) = C / w^p
         object.__setattr__(
             self, "high_amplitude", float(eps2[-1] * omega[-1] ** self.high_exponent)
@@ -370,14 +369,20 @@ class NinhamParsegian:
         return 1.0 + sum(c for c, _ in self.terms)
 
 
+@dataclass(frozen=True, eq=False)
 class TabulatedKK:
     """Wall permittivity reconstructed from tabulated optical constants.
 
-    Immutable: ``eps_iw`` runs the dispersion transform at every query.
+    Immutable, and hashed by identity (``eps_grid`` caches by wall):
+    ``eps_iw`` runs the dispersion transform at every query.
     """
 
-    def __init__(self, table: OpticalTable, kind: str,
-                 settings: KKSettings = DEFAULT_KK_SETTINGS):
+    table: OpticalTable
+    kind: str
+    settings: KKSettings = DEFAULT_KK_SETTINGS
+
+    def __post_init__(self):
+        kind, table = self.kind, self.table
         if kind not in (METAL, DIELECTRIC):
             raise ConfigError(f"unknown material kind {kind!r}")
         if kind == METAL and table.low_ext is None:
@@ -393,9 +398,6 @@ class TabulatedKK:
                     "dielectric table fails the zero-frequency convergence check: "
                     "eps'' must decay toward zero frequency"
                 )
-        self.table = table
-        self.kind = kind
-        self.settings = settings
 
     def _build_grid(self, lo: float, hi: float):
         """eps(i xi) on [lo, hi] from a Chebyshev interpolant of log(eps - 1) in ln xi.

@@ -48,7 +48,7 @@ _QUAD_START = 16   # the first order at quad_rel_tol >= 1e-11
 _QUAD_CAP = 512
 _QUAD_TOL_FLOOR = 1e-13     # tightest quad_rel_tol: met against a reference good to 1e-14
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
-_SERIES_TOL_FLOOR = 1e-14   # the tightest series_rel_tol accepted
+_SERIES_TOL_FLOOR = 1e-13   # tightest series_rel_tol: the head's summation rounds to about 3e-14
 _ZETA_MAX = 60.0   # terms past zeta_l = 60 carry e^-60 of the sum: a plain sum stops there
 _HEAD = 64         # terms summed one by one before the tail at series_rel_tol 1e-11
 _TAIL_ORDER = 16   # Gauss-Legendre nodes per panel of the tail integral, in ln l

@@ -66,8 +66,9 @@ class TabulatedAlpha:
     """
 
     def __init__(self, xi, alpha):
-        xi = np.asarray(xi, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
+        # read-only copies: an edit of the caller's arrays cannot reach the model
+        xi, alpha = np.array(xi, dtype=float), np.array(alpha, dtype=float)
+        xi.flags.writeable = alpha.flags.writeable = False
         if xi.ndim != 1 or xi.shape != alpha.shape or xi.size < 2:
             raise ValidationError("need matching 1-d xi and alpha arrays with >= 2 rows")
         if xi[0] != 0.0:

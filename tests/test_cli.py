@@ -250,3 +250,103 @@ class TestTableWithTabulatedReference:
             assert plasma < ideal
         # reference magnitudes fall with separation
         assert float(rows[0][1]) > float(rows[1][1]) > float(rows[2][1])
+
+
+def _assert_one_error_line(result, code):
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+def _metal_wall(tmp_path, **drude):
+    energies = np.geomspace(1e-3, 1e4, 40)
+    n, k = drude_nk(ev_to_angular(energies))
+    (tmp_path / "metal.nk").write_text("\n".join(
+        f"{e:.9e} {a:.9e} {b:.9e}" for e, a, b in zip(energies, n, k)) + "\n")
+    return {"model": "tabulated", "file": "metal.nk", "kind": "metal", "drude": drude}
+
+
+class TestExitCodes:
+    """Each bad input exits with its documented code and one ``error:`` line."""
+
+    @pytest.mark.parametrize("case", [
+        {"temperature_K": "warm"},
+        {"wall": {"model": "plasma", "omega_p_eV": [9]}},
+        {"atom": {"model": "oscillators", "entries": [[1.2]]}},
+        {"tolerances": {"series_rel_tol": "tight"}},
+        {"separations_nm": {"log_range": [3.0, 100.0]}},
+        {"output": []},
+    ], ids=["text_temperature", "list_omega_p", "short_entry", "text_tolerance",
+            "short_log_range", "output_not_an_object"])
+    def test_malformed_value_exits_3_and_leaves_out_alone(self, tmp_path, case):
+        cfg = write_config(tmp_path, base_config(**case))
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier output\n")
+        result = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+        _assert_one_error_line(result, 3)
+        assert str(cfg) in result.stderr
+        assert out.read_text() == "earlier output\n"
+
+    def test_drude_block_without_nu_exits_3(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(wall=_metal_wall(tmp_path, omega_p_eV=9.0)))
+        _assert_one_error_line(run_cli("sweep", "--config", str(cfg)), 3)
+
+    def test_config_not_utf8_exits_3(self, tmp_path):
+        cfg = tmp_path / "latin1.json"
+        doc = base_config(output={"path": str(tmp_path / "r\u00e9sultat.csv")})
+        cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        _assert_one_error_line(run_cli("sweep", "--config", str(cfg)), 3)
+
+    def test_data_file_not_utf8_exits_3(self, tmp_path):
+        wall = _metal_wall(tmp_path, omega_p_eV=9.0, nu_eV=0.035)
+        rows = (tmp_path / "metal.nk").read_text()
+        (tmp_path / "metal.nk").write_bytes(("# \u00e9nergie n k\n" + rows).encode("latin-1"))
+        cfg = write_config(tmp_path, base_config(wall=wall))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert "metal.nk" in result.stderr
+
+    def test_referenced_directory_exits_3(self, tmp_path):
+        (tmp_path / "alpha.dat").mkdir()
+        cfg = write_config(tmp_path, base_config(
+            atom={"model": "tabulated_alpha", "file": "alpha.dat"}))
+        _assert_one_error_line(run_cli("sweep", "--config", str(cfg)), 3)
+
+    def test_unreadable_config_exits_2(self, tmp_path):
+        result = run_cli("sweep", "--config", str(tmp_path))
+        _assert_one_error_line(result, 2)
+        assert str(tmp_path) in result.stderr
+
+    @pytest.mark.parametrize("out", ["missing_dir/out.csv", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, out):
+        cfg = write_config(tmp_path, base_config())
+        result = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / out))
+        _assert_one_error_line(result, 2)
+
+    def test_non_convergence_exits_4_with_diagnostics(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(tolerances={"max_terms": 1}))
+        result = run_cli("energy", "--config", str(cfg))
+        _assert_one_error_line(result, 4)
+        assert "diagnostics=" in result.stderr
+
+
+@pytest.mark.parametrize("command,name", [("epsilon", "eps_iw"), ("alpha", "alpha_iw"),
+                                          ("epsilon", "parse_run_config")])
+def test_handlers_call_module_globals_at_call_time(tmp_path, monkeypatch, command, name):
+    # a wrapper set on the cli module after import, as a tracer installs one, is called
+    from atomwall import cli
+
+    calls = []
+    original = getattr(cli, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, recording)
+    cfg = write_config(tmp_path, {"wall": {"model": "plasma", "omega_p_eV": 9.0},
+                                  "atom": {"model": "static", "alpha0_au": 315.63},
+                                  "grid": {"xi_min_eV": 0.9, "xi_max_eV": 9.0, "points": 7}})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1

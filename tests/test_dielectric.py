@@ -353,6 +353,31 @@ class TestTransformAgainstQuad:
         assert kk_transform(drude_table, xi, 1e-13) == pytest.approx(
             _quad_reference(drude_table, xi), rel=1e-13, abs=0.0)
 
+    def test_transparent_below_a_band_edge(self):
+        # k = 0 in the first rows: eps'' is zero below the table, with no panels there
+        omega = np.geomspace(1e14, 1e17, 60)
+        k = np.where(omega > 2e15, 0.4 * (1.0 - 2e15 / omega), 0.0)
+        table = OpticalTable(omega, np.full(60, 1.5), k)
+        settings = KKSettings(rel_tol=1e-10)
+        wall = TabulatedKK(table, DIELECTRIC, settings)
+        for xi in (0.0, 1e13, 3e15, 1e17):
+            want = 1.0 + (2.0 / math.pi) * _quad_reference(table, xi)
+            assert eps_iw(wall, xi) == pytest.approx(want, rel=settings.rel_tol, abs=0.0)
+            if xi == 0.0:
+                assert f0(wall) == pytest.approx((want - 1.0) / (want + 1.0),
+                                                 rel=settings.rel_tol, abs=0.0)
+
+    def test_order_cap_raises_with_diagnostics(self, monkeypatch):
+        # orders 8 and 16 disagree by 1e-13 just above this table's end
+        monkeypatch.setattr(dielectric, "_KK_CAP", 16)
+        omega = np.geomspace(1e13, 1e16, 40)
+        table = OpticalTable(omega, np.full(40, 1.5), 0.1 * (omega / 1e13) ** 0.2)
+        with pytest.raises(ConvergenceError) as info:
+            kk_transform(table, np.geomspace(1e3, 1e20, 40), 1e-13)
+        diagnostics = info.value.diagnostics
+        assert set(diagnostics) == {"xi", "order", "last", "previous", "panels", "unconverged"}
+        assert diagnostics["order"] == 16 and diagnostics["unconverged"] >= 1
+
 
 # the tables a Matsubara sum reads through eps_grid in the interpolant tests
 _SUM_TABLES = {"drude_200": (make_drude_table(200), METAL), "drude_500": (_DRUDE, METAL),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from atomwall import (
     CODATA,
     ComputationRequest,
+    ConvergenceError,
     DomainError,
     IdealMetal,
+    KKSettings,
     NinhamParsegian,
     NumericalTolerances,
     OscillatorSet,
@@ -28,6 +31,7 @@ from atomwall import (
     eps_iw,
     ev_to_angular,
     f0,
+    fit_single_oscillator,
     free_energy,
     free_energy_batch,
     ideal_metal_integral,
@@ -204,6 +208,16 @@ class TestMatsubaraIntegral:
         with pytest.raises(DomainError):
             matsubara_integral(2.0, -0.1)
 
+    def test_node_budget_raises_with_diagnostics(self, monkeypatch):
+        # at quad_rel_tol 1e-13 the order starts at 64; the first row needs 256
+        monkeypatch.setattr(lifshitz, "_QUAD_CAP", 128)
+        eps, zeta = np.array([1.14105918, 2.0]), np.array([2.1369e-4, 0.1])
+        with pytest.raises(ConvergenceError) as info:
+            _matsubara_integral_block(eps, zeta, 1e-13)
+        diagnostics = info.value.diagnostics
+        assert set(diagnostics) == {"order", "unconverged", "worst_rel_delta", "zeta", "eps"}
+        assert diagnostics["order"] == 128 and diagnostics["worst_rel_delta"] > 1e-13
+
 
 def _integrand(eps_col, zeta_col, y):
     """The per-frequency integrand: _integrand_rows times its row factor."""
@@ -294,6 +308,32 @@ def _table_config_wall():
     wp, nu = ev_to_angular(9.0), ev_to_angular(0.035)
     n, k = drude_nk(omega, wp, nu)
     return TabulatedKK(OpticalTable(omega, n, k, low_ext=DrudeLowFreq(wp, nu)), METAL)
+
+
+def test_tabulated_models_own_read_only_copies_of_their_rows():
+    # a caller's later edit of its arrays reaches neither an answer nor a cached interpolant
+    omega = ev_to_angular(np.geomspace(1e-3, 1e4, 200))
+    wp, nu = ev_to_angular(9.0), ev_to_angular(0.035)
+    n, k = drude_nk(omega, wp, nu)
+    xi = ev_to_angular(np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 119))))
+    alpha = alpha_iw(OscillatorSet((0.5935,), (ev_to_angular(1.18),)), xi)
+    wall = TabulatedKK(OpticalTable(omega, n, k, low_ext=DrudeLowFreq(wp, nu)), METAL)
+    atom = TabulatedAlpha(xi, alpha)
+
+    def answers():
+        res = free_energy(ComputationRequest(atom=atom, wall=wall, a=3e-9, T=300.0))
+        return (eps_iw(wall, ev_to_angular(2.0)), res.free_energy, alpha_iw(atom, 0.0),
+                fit_single_oscillator(atom))
+
+    before = answers()
+    n[50:150] *= 1.5
+    alpha[0] *= 2.0
+    assert answers() == before
+    for rows in (wall.table.omega, wall.table.n, wall.table.k, atom.xi, atom.alpha):
+        with pytest.raises(ValueError):
+            rows[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        wall.settings = KKSettings(rel_tol=1e-3)
 
 
 def test_row_just_wider_than_one_converges_at_the_floor():
@@ -458,7 +498,6 @@ class TestFreeEnergy:
         assert any("extrapolated" in w for w in res.warnings) == warns
 
     def test_max_terms_exhaustion(self):
-        from atomwall import ConvergenceError
         tol = NumericalTolerances(max_terms=5)
         req = ComputationRequest(atom=StaticAlpha(ALPHA0), wall=IdealMetal(),
                                  a=1e-8, T=300.0, tol=tol)
@@ -658,6 +697,20 @@ def _plain_sum_reference(wall_name, atom_name, a, T):
 
 class TestPlainSumReference:
     """The sum against every term up to zeta_l = 60, at the same quad_rel_tol."""
+
+    def test_series_rel_tol_floor(self):
+        # below 1e-13 the rounding of a long head's sum would exceed the tolerance
+        with pytest.raises(DomainError):
+            NumericalTolerances(series_rel_tol=1e-14)
+
+    def test_long_head_meets_the_floor(self):
+        # the tabulated atom at 4 K and 100 nm sums some 23 000 terms one by one,
+        # which round to 2.8e-14 of the plain sum
+        reference = _plain_sum_reference("ideal_metal", "tabulated", 1e-7, 4.0)
+        tol = NumericalTolerances(series_rel_tol=1e-13, quad_rel_tol=1e-11)
+        res = free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"], wall=IdealMetal(),
+                                             a=1e-7, T=4.0, tol=tol))
+        assert abs(res.free_energy / reference - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
