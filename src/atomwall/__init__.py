@@ -20,7 +20,6 @@ from .dataio import (
     parse_optical_table,
     parse_oscillator_file,
     parse_run_config,
-    serialize_run_config,
 )
 from .dielectric import (
     DIELECTRIC,
@@ -77,7 +76,6 @@ __all__ = [
     "CODATA", "PhysicalConstants", "au_volume_to_si", "ev_to_angular",
     "GridSpec", "RunConfig", "Variant", "parse_alpha_table",
     "parse_optical_table", "parse_oscillator_file", "parse_run_config",
-    "serialize_run_config",
     "DIELECTRIC", "METAL", "DrudeLowFreq", "IdealMetal", "KKSettings",
     "NinhamParsegian", "OpticalTable", "Plasma", "StaticPermittivity",
     "TabulatedKK", "eps_imag_part", "eps_iw", "f0", "kk_transform",

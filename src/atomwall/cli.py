@@ -26,7 +26,7 @@ import contextlib
 import json
 import sys
 
-from .dataio import RunConfig, parse_run_config
+from .dataio import TABLE_COLUMNS, RunConfig, parse_run_config
 from .dielectric import eps_iw
 from .errors import AtomWallError, ConfigError, ConvergenceError, UsageError
 from .lifshitz import ComputationRequest, free_energy_batch
@@ -106,7 +106,7 @@ def cmd_table(config: RunConfig, stream, fmt: str) -> None:
     variants = [_evaluate_separations(config, v.atom, v.wall) for v in config.variants]
     rows = [(a_nm, abs(ref.free_energy), *(var.free_energy / ref.free_energy for var in row))
             for a_nm, ref, *row in zip(config.separations_nm, reference, *variants)]
-    columns = ("a_nm", "abs_free_energy_ref_J", *(v.label for v in config.variants))
+    columns = (*TABLE_COLUMNS, *(v.label for v in config.variants))
     _emit(config, stream, fmt, columns, rows)
 
 

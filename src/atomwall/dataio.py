@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +25,6 @@ import numpy as np
 
 from .constants import au_volume_to_si, ev_to_angular
 from .dielectric import (
-    DIELECTRIC,
-    METAL,
     DrudeLowFreq,
     IdealMetal,
     KKSettings,
@@ -35,7 +34,7 @@ from .dielectric import (
     StaticPermittivity,
     TabulatedKK,
 )
-from .errors import AtomWallError, ConfigError, ParseError, ValidationError
+from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .lifshitz import NumericalTolerances
 from .polarizability import OscillatorSet, StaticAlpha, TabulatedAlpha
 
@@ -103,9 +102,10 @@ def parse_oscillator_file(path) -> OscillatorSet:
     if not rows:
         raise ValidationError("oscillator file contains no data rows", path=path)
     for lineno, (omega_eV, strength) in rows:
-        if omega_eV <= 0.0 or strength <= 0.0:
+        if not (0.0 < omega_eV < math.inf and 0.0 < strength < math.inf):
             raise ValidationError(
-                "oscillator frequency and strength must be positive", path=path, line=lineno
+                "oscillator frequency and strength must be finite and positive",
+                path=path, line=lineno,
             )
     return OscillatorSet(
         strengths=tuple(values[1] for _, values in rows),
@@ -134,6 +134,8 @@ _TOP_LEVEL_KEYS = {
     "temperature_K", "separations_nm", "atom", "wall", "reference", "variants",
     "grid", "tolerances", "kk", "output",
 }
+# the table command's fixed columns; variant labels name the others
+TABLE_COLUMNS = ("a_nm", "abs_free_energy_ref_J")
 
 
 @dataclass
@@ -143,8 +145,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not (0.0 < self.xi_min < self.xi_max) or self.points < 2:
-            raise ConfigError("grid needs 0 < xi_min < xi_max and at least 2 points")
+        if not (0.0 < self.xi_min < self.xi_max < math.inf) or self.points < 2:
+            raise ConfigError("grid needs 0 < xi_min < xi_max < inf and at least 2 points")
 
     def frequencies(self) -> np.ndarray:
         return np.geomspace(self.xi_min, self.xi_max, self.points)
@@ -155,8 +157,6 @@ class Variant:
     label: str
     atom: object
     wall: object
-    atom_spec: dict
-    wall_spec: dict
 
 
 @dataclass
@@ -174,24 +174,16 @@ class RunConfig:
     variants: list = field(default_factory=list)
     grid: GridSpec | None = None
     digest: str = ""
-    atom_spec: dict | None = None
-    wall_spec: dict | None = None
-    grid_spec: dict | None = None
     separations_nm: list | None = None
 
 
 def _resolve(base: Path, spec: dict) -> Path:
-    """Resolve spec['file'] against the config directory, in place.
-
-    Normalizing to an absolute path keeps serialized configs valid wherever
-    they are written back.
-    """
+    """spec['file'] as an absolute path, a relative one taken from ``base``; spec is not changed."""
     p = Path(spec["file"])
     if not p.is_absolute():
         p = (base / p).resolve()
     if not p.is_file():
         raise ConfigError(f"referenced file does not exist or is not a file: {p}")
-    spec["file"] = str(p)
     return p
 
 
@@ -210,8 +202,6 @@ def _build_atom(spec: dict, base: Path):
             return parse_oscillator_file(_resolve(base, spec))
         if "entries" in spec:
             entries = spec["entries"]
-            if not entries:
-                raise ConfigError("oscillator entries must not be empty")
             return OscillatorSet(
                 strengths=tuple(float(f) for _, f in entries),
                 frequencies=tuple(ev_to_angular(float(w)) for w, _ in entries),
@@ -248,28 +238,18 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
     if model == "tabulated":
         if "file" not in spec or "kind" not in spec:
             raise ConfigError("tabulated wall needs 'file' and 'kind' (metal | dielectric)")
-        kind = spec["kind"]
-        if kind not in (METAL, DIELECTRIC):
-            raise ConfigError(f"unknown material kind {kind!r}")
         drude = None
-        if kind == METAL:
-            if "drude" not in spec:
-                raise ConfigError(
-                    "a metal tabulated wall requires Drude completion parameters "
-                    "('drude': {omega_p_eV, nu_eV})"
-                )
+        if "drude" in spec:
             d = spec["drude"]
             drude = DrudeLowFreq(
                 omega_p=ev_to_angular(float(d["omega_p_eV"])),
                 nu=ev_to_angular(float(d["nu_eV"])),
             )
-        elif "drude" in spec:
-            raise ConfigError("a dielectric tabulated wall must not carry Drude parameters")
         table = parse_optical_table(
             _resolve(base, spec), drude=drude,
             high_exponent=float(spec.get("high_exponent", 3.0)),
         )
-        return TabulatedKK(table, kind, settings=kk_settings)
+        return TabulatedKK(table, spec["kind"], settings=kk_settings)
     raise ConfigError(f"unknown wall model tag {model!r}")
 
 
@@ -287,17 +267,19 @@ def _parse_separations(spec) -> tuple[np.ndarray, list]:
         raise ConfigError("separations_nm must contain 'list' or 'log_range'")
     if a_nm.size == 0:
         raise ConfigError("at least one separation is required")
-    if np.any(a_nm <= 0.0):
-        raise ConfigError("separations must be positive")
+    if not np.all((a_nm > 0.0) & (a_nm < math.inf)):
+        raise ConfigError("separations must be finite and positive")
     if np.any(np.diff(a_nm) <= 0.0):
         raise ConfigError("separations must be strictly ascending")
     return a_nm * 1e-9, [float(x) for x in a_nm]
 
 
 def parse_run_config(path) -> RunConfig:
-    """Load, validate and fully resolve a JSON run configuration.
+    """Load a JSON run configuration and build its models.
 
-    An unreadable file raises OSError, and malformed content a ConfigError.
+    An unreadable file raises OSError.  A ConfigError or DomainError that
+    names no file, and a value of the wrong type or shape, are re-raised as a
+    ValidationError naming this config; a data file's error keeps its path.
     """
     path = Path(path)
     raw_bytes = path.read_bytes()
@@ -308,22 +290,23 @@ def parse_run_config(path) -> RunConfig:
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text: {err}", path=path) from err
     try:
-        return _build_config(doc, path, hashlib.sha256(raw_bytes).hexdigest())
-    except AtomWallError:
-        raise
-    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as err:
+        return _build_config(doc, path.parent, hashlib.sha256(raw_bytes).hexdigest())
+    except (ConfigError, DomainError) as err:
+        if getattr(err, "path", None) is not None:
+            raise
+        raise ValidationError(str(err), path=path) from err
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError) as err:
         raise ValidationError(f"malformed config ({type(err).__name__}: {err})",
                               path=path) from err
 
 
-def _build_config(doc, path: Path, digest: str) -> RunConfig:
+def _build_config(doc, base: Path, digest: str) -> RunConfig:
     if not isinstance(doc, dict):
-        raise ParseError("config root must be a JSON object", path=path)
+        raise ConfigError("config root must be a JSON object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
-    base = path.parent
     tolerances = _parse_tolerances(doc.get("tolerances"))
     kk_settings = _parse_kk(doc.get("kk"))
 
@@ -332,32 +315,33 @@ def _build_config(doc, path: Path, digest: str) -> RunConfig:
     wall_spec = doc.get("wall")
     if reference is not None:
         if atom_spec is not None or wall_spec is not None:
-            raise ConfigError(f"{path}: give either top-level atom/wall or a reference block, not both")
+            raise ConfigError("give either top-level atom/wall or a reference block, not both")
         if "atom" not in reference or "wall" not in reference:
-            raise ConfigError(f"{path}: reference block needs both atom and wall")
+            raise ConfigError("reference block needs both atom and wall")
         atom_spec = reference["atom"]
         wall_spec = reference["wall"]
     if doc.get("variants") and reference is None:
-        raise ConfigError(f"{path}: variants require a reference block")
+        raise ConfigError("variants require a reference block")
 
     atom = _build_atom(atom_spec, base) if atom_spec is not None else None
     wall = _build_wall(wall_spec, base, kk_settings) if wall_spec is not None else None
 
     variants = []
+    columns = set(TABLE_COLUMNS)
     for i, vspec in enumerate(doc.get("variants", [])):
         label = vspec.get("label")
-        if not label:
-            raise ConfigError(f"{path}: variant {i} needs a label")
+        if not isinstance(label, str) or not label:
+            raise ConfigError(f"variant {i} needs a label")
+        if label in columns or not set(label).isdisjoint(",\r\n"):
+            raise ConfigError(f"variant label {label!r} must be unique, differ from "
+                              f"{' and '.join(TABLE_COLUMNS)}, and hold no ',' or line break")
+        columns.add(label)
         if "atom" not in vspec and "wall" not in vspec:
-            raise ConfigError(f"{path}: variant {label!r} overrides neither atom nor wall")
-        v_atom_spec = vspec.get("atom", atom_spec)
-        v_wall_spec = vspec.get("wall", wall_spec)
+            raise ConfigError(f"variant {label!r} overrides neither atom nor wall")
         variants.append(Variant(
             label=label,
-            atom=_build_atom(v_atom_spec, base) if "atom" in vspec else atom,
-            wall=_build_wall(v_wall_spec, base, kk_settings) if "wall" in vspec else wall,
-            atom_spec=v_atom_spec,
-            wall_spec=v_wall_spec,
+            atom=_build_atom(vspec["atom"], base) if "atom" in vspec else atom,
+            wall=_build_wall(vspec["wall"], base, kk_settings) if "wall" in vspec else wall,
         ))
 
     separations = separations_nm = None
@@ -367,10 +351,10 @@ def _build_config(doc, path: Path, digest: str) -> RunConfig:
     temperature = None
     if "temperature_K" in doc:
         temperature = float(doc["temperature_K"])
-        if temperature <= 0.0:
-            raise ConfigError(f"{path}: temperature must be positive")
+        if not 0.0 < temperature < math.inf:
+            raise ConfigError("temperature must be finite and positive")
 
-    grid = grid_spec = None
+    grid = None
     if "grid" in doc:
         grid_spec = doc["grid"]
         try:
@@ -380,12 +364,12 @@ def _build_config(doc, path: Path, digest: str) -> RunConfig:
                 points=int(grid_spec.get("points", 200)),
             )
         except KeyError as err:
-            raise ConfigError(f"{path}: grid needs xi_min_eV and xi_max_eV") from err
+            raise ConfigError("grid needs xi_min_eV and xi_max_eV") from err
 
     out = doc.get("output", {})
     output_format = out.get("format", "csv")
     if output_format not in ("csv", "json"):
-        raise ConfigError(f"{path}: output format must be csv or json")
+        raise ConfigError("output format must be csv or json")
 
     return RunConfig(
         atom=atom, wall=wall,
@@ -393,7 +377,6 @@ def _build_config(doc, path: Path, digest: str) -> RunConfig:
         tolerances=tolerances, kk_settings=kk_settings,
         output_format=output_format, output_path=out.get("path"),
         variants=variants, grid=grid, digest=digest,
-        atom_spec=atom_spec, wall_spec=wall_spec, grid_spec=grid_spec,
         separations_nm=separations_nm,
     )
 
@@ -417,35 +400,3 @@ def _parse_kk(spec) -> KKSettings:
     if unknown:
         raise ConfigError(f"unknown kk keys {sorted(unknown)}")
     return KKSettings(**{k: v for k, v in spec.items() if k == "rel_tol"})
-
-
-def serialize_run_config(config: RunConfig) -> dict:
-    """Canonical JSON-ready dict; parse(serialize(parse(f))) == parse(f)."""
-    doc: dict = {}
-    if config.temperature is not None:
-        doc["temperature_K"] = config.temperature
-    if config.separations_nm is not None:
-        doc["separations_nm"] = {"list": list(config.separations_nm)}
-    if config.variants:
-        doc["reference"] = {"atom": config.atom_spec, "wall": config.wall_spec}
-        doc["variants"] = [
-            {"label": v.label, "atom": v.atom_spec, "wall": v.wall_spec}
-            for v in config.variants
-        ]
-    else:
-        if config.atom_spec is not None:
-            doc["atom"] = config.atom_spec
-        if config.wall_spec is not None:
-            doc["wall"] = config.wall_spec
-    if config.grid_spec is not None:
-        doc["grid"] = config.grid_spec
-    tol = config.tolerances
-    doc["tolerances"] = {
-        "series_rel_tol": tol.series_rel_tol, "quad_rel_tol": tol.quad_rel_tol,
-        "max_terms": tol.max_terms,
-    }
-    doc["kk"] = {"rel_tol": config.kk_settings.rel_tol}
-    doc["output"] = {"format": config.output_format}
-    if config.output_path is not None:
-        doc["output"]["path"] = config.output_path
-    return doc

@@ -74,8 +74,8 @@ class DrudeLowFreq:
     nu: float       # relaxation frequency [rad/s]
 
     def __post_init__(self):
-        if self.omega_p <= 0.0 or self.nu <= 0.0:
-            raise DomainError("Drude completion requires positive omega_p and nu")
+        if not (0.0 < self.omega_p < math.inf and 0.0 < self.nu < math.inf):
+            raise DomainError("Drude completion requires finite positive omega_p and nu")
 
     def eps2(self, omega):
         return self.omega_p ** 2 * self.nu / (omega * (omega ** 2 + self.nu ** 2))
@@ -115,8 +115,8 @@ class OpticalTable:
             raise ValidationError("n, k must be finite")
         if np.any(n < 0.0) or np.any(k < 0.0):
             raise ValidationError("n, k must be non-negative")
-        if self.high_exponent <= 0.0:
-            raise ValidationError("high-frequency tail exponent must be positive")
+        if not 0.0 < self.high_exponent < math.inf:
+            raise DomainError("high-frequency tail exponent must be finite and positive")
         eps2 = 2.0 * n * k
         # tail amplitude matched at the last row: eps''(w) = C / w^p
         object.__setattr__(
@@ -329,8 +329,8 @@ class Plasma:
     kind: ClassVar[str] = METAL
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise DomainError("plasma frequency must be positive")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError("plasma frequency must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -345,8 +345,8 @@ class StaticPermittivity:
     kind: ClassVar[str] = DIELECTRIC
 
     def __post_init__(self):
-        if self.eps_static < 1.0:
-            raise DomainError("static permittivity must be >= 1")
+        if not 1.0 <= self.eps_static < math.inf:
+            raise DomainError("static permittivity must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,8 @@ class NinhamParsegian:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("at least one (C_j, omega_j) term required")
-        if any(c <= 0.0 or w <= 0.0 for c, w in terms):
-            raise DomainError("Ninham-Parsegian terms must have C_j > 0, omega_j > 0")
+        if not all(0.0 < c < math.inf and 0.0 < w < math.inf for c, w in terms):
+            raise DomainError("Ninham-Parsegian terms must have finite C_j > 0, omega_j > 0")
 
     @property
     def eps_zero(self) -> float:

@@ -87,8 +87,8 @@ class ComputationRequest:
     tol: NumericalTolerances = field(default_factory=NumericalTolerances)
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.T <= 0.0:
-            raise DomainError("separation and temperature must be positive")
+        if not (self.a > 0.0 and 0.0 < self.T < math.inf):
+            raise DomainError("separation must be positive, temperature finite and positive")
         if not (HARD_RANGE[0] <= self.a <= HARD_RANGE[1]):
             raise DomainError(f"separation {self.a:g} m outside supported range "
                               f"[{HARD_RANGE[0]:g}, {HARD_RANGE[1]:g}] m")

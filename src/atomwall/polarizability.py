@@ -73,8 +73,8 @@ class TabulatedAlpha:
             raise ValidationError("need matching 1-d xi and alpha arrays with >= 2 rows")
         if xi[0] != 0.0:
             raise ValidationError("tabulated polarizability must include a xi = 0 row")
-        if np.any(np.diff(xi) <= 0.0):
-            raise ValidationError("xi values must be strictly increasing")
+        if not (np.all(np.diff(xi) > 0.0) and np.isfinite(xi[-1])):
+            raise ValidationError("xi values must be finite and strictly increasing")
         if np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
             raise ValidationError("alpha values must be positive and finite")
         if np.any(np.diff(alpha) > 0.0):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface via subprocess."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -267,6 +268,9 @@ def _metal_wall(tmp_path, **drude):
     return {"model": "tabulated", "file": "metal.nk", "kind": "metal", "drude": drude}
 
 
+_METAL = {"model": "tabulated", "file": "metal.nk", "kind": "metal"}
+
+
 class TestExitCodes:
     """Each bad input exits with its documented code and one ``error:`` line."""
 
@@ -287,6 +291,76 @@ class TestExitCodes:
         _assert_one_error_line(result, 3)
         assert str(cfg) in result.stderr
         assert out.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("case,message", [
+        ({"wall": {"model": "static", "eps0": math.inf}}, "static permittivity"),
+        ({"temperature_K": math.nan}, "temperature"),
+        ({"temperature_K": math.inf}, "temperature"),
+        ({"wall": {"model": "plasma", "omega_p_eV": math.nan}}, "plasma frequency"),
+        ({"wall": {"model": "ninham_parsegian", "terms": [[math.nan, 10.0]]}}, "Ninham"),
+        ({"wall": dict(_METAL, drude={"omega_p_eV": math.nan, "nu_eV": 0.035})}, "Drude"),
+        ({"wall": dict(_METAL, drude={"omega_p_eV": 9.0, "nu_eV": 0.035},
+                       high_exponent=math.nan)}, "exponent"),
+        ({"tolerances": {"series_rel_tol": 1e-14}}, "series_rel_tol"),
+        ({"tolerances": {"max_terms": math.inf}}, "OverflowError"),
+        ({"separations_nm": {"list": [10.0, math.inf]}}, "separations"),
+        ({"grid": {"xi_min_eV": 0.1, "xi_max_eV": math.inf}}, "grid"),
+        ({"kk": {"rel_tol": 1.0}}, "KK rel_tol"),
+        ({"atom": {"model": "nope"}}, "atom model tag"),
+        ({"wall": {"model": "nope"}}, "wall model tag"),
+        ({"atom": {"model": "oscillators", "entries": []}}, "at least one"),
+        ({"wall": dict(_METAL, kind="semimetal")}, "material kind"),
+    ], ids=["inf_eps0", "nan_temperature", "inf_temperature", "nan_omega_p",
+            "nan_np_term", "nan_drude_omega_p", "nan_high_exponent", "series_rel_tol_below_floor",
+            "inf_max_terms", "inf_separation", "inf_grid_xi_max",
+            "kk_rel_tol_above_range", "unknown_atom_tag", "unknown_wall_tag",
+            "empty_oscillator_entries", "unknown_material_kind"])
+    def test_invalid_value_exits_3_naming_the_config(self, tmp_path, case, message):
+        _metal_wall(tmp_path)  # writes the metal.nk that the _METAL cases read
+        cfg = write_config(tmp_path, base_config(**case))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr.startswith(f"error: {cfg}: ")
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("rows", ["0.0 315.63\nnan 250.0\n2.0 60.0\n",
+                                      "0.0 315.63\n1.0 250.0\ninf 60.0\n"],
+                             ids=["nan_row", "inf_last_row"])
+    def test_non_finite_alpha_row_exits_3_naming_the_table(self, tmp_path, rows):
+        (tmp_path / "alpha.dat").write_text(rows)
+        cfg = write_config(tmp_path, base_config(
+            atom={"model": "tabulated_alpha", "file": "alpha.dat"}))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert "alpha.dat: " in result.stderr and str(cfg) not in result.stderr
+
+    def test_data_file_row_error_names_the_data_file_and_line(self, tmp_path):
+        rows = [f"{e}.0 1.0 0.1" for e in range(1, 10)]
+        rows[4] = "5.0 1.0 -0.1"
+        (tmp_path / "neg.nk").write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, base_config(
+            wall={"model": "tabulated", "file": "neg.nk", "kind": "dielectric"}))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert "neg.nk:5: " in result.stderr and str(cfg) not in result.stderr
+
+    @pytest.mark.parametrize("labels", [["x", "x"], ["a_nm"], ["abs_free_energy_ref_J"],
+                                        ["p,q"], ["p\nq"], ["p\rq"], [7]],
+                             ids=["repeated", "a_nm", "reference_column", "comma",
+                                  "newline", "carriage_return", "not_a_string"])
+    def test_colliding_variant_label_exits_3(self, tmp_path, labels):
+        cfg = write_config(tmp_path, {
+            "temperature_K": 300.0,
+            "separations_nm": {"list": [10.0]},
+            "reference": {"atom": {"model": "static", "alpha0_au": 315.63},
+                          "wall": {"model": "plasma", "omega_p_eV": 9.0}},
+            "variants": [{"label": "ok", "wall": {"model": "ideal_metal"}},
+                         *({"label": label, "wall": {"model": "ideal_metal"}}
+                           for label in labels)],
+        })
+        result = run_cli("table", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr.startswith(f"error: {cfg}: ") and "label" in result.stderr
 
     def test_drude_block_without_nu_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, base_config(wall=_metal_wall(tmp_path, omega_p_eV=9.0)))

@@ -97,6 +97,28 @@ class TestNinhamParsegian:
             NinhamParsegian(())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Plasma(math.nan),
+    lambda: Plasma(math.inf),
+    lambda: StaticPermittivity(math.nan),
+    lambda: StaticPermittivity(math.inf),
+    lambda: NinhamParsegian(((math.nan, 1e15),)),
+    lambda: NinhamParsegian(((2.0, math.inf),)),
+    lambda: DrudeLowFreq(math.nan, NU),
+    lambda: DrudeLowFreq(WP, math.inf),
+    lambda: OpticalTable(np.geomspace(1e14, 1e17, 10), np.full(10, 1.2), np.full(10, 0.3),
+                         high_exponent=math.nan),
+    lambda: OpticalTable(np.geomspace(1e14, 1e17, 10), np.full(10, 1.2), np.full(10, 0.3),
+                         high_exponent=math.inf),
+], ids=["plasma_nan", "plasma_inf", "static_nan", "static_inf", "np_nan_strength",
+        "np_inf_frequency", "drude_nan_omega_p", "drude_inf_nu", "table_nan_exponent",
+        "table_inf_exponent"])
+def test_non_finite_parameters_are_rejected(build):
+    # the range guards alone let NaN and infinity through
+    with pytest.raises(DomainError):
+        build()
+
+
 class TestIdealMetal:
     def test_f0(self):
         assert f0(IdealMetal()) == 1.0

@@ -558,6 +558,11 @@ class TestFreeEnergy:
             ComputationRequest(atom=StaticAlpha(ALPHA0), wall=IdealMetal(),
                                a=1e-7, T=-1.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(DomainError):
+            ComputationRequest(atom=StaticAlpha(ALPHA0), wall=IdealMetal(), a=1e-7, T=T)
+
 
 class TestCasimirPolderEnergy:
     def test_zero_alpha(self):

@@ -165,3 +165,10 @@ class TestTabulatedAlpha:
         xi = np.array([0.0, 1e14, 2e14])
         with pytest.raises(ValidationError):
             TabulatedAlpha(xi, np.array([1e-30, 2e-30, 1e-30]))
+
+    @pytest.mark.parametrize("row", [math.nan, math.inf])
+    def test_rejects_non_finite_xi_row(self, row):
+        with pytest.raises(ValidationError):
+            TabulatedAlpha(np.array([0.0, 1e14, row]), np.array([3e-30, 2e-30, 1e-30]))
+        with pytest.raises(ValidationError):
+            TabulatedAlpha(np.array([0.0, row, 2e14]), np.array([3e-30, 2e-30, 1e-30]))
