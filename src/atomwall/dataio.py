@@ -40,7 +40,7 @@ from .polarizability import OscillatorSet, StaticAlpha, TabulatedAlpha
 
 
 def read_numeric_rows(path, n_cols: int):
-    """Numeric rows of a text file as (line_number, values) pairs.
+    """(line numbers, values) of a text file's numeric rows; values is a (rows, n_cols) array.
 
     Lines are stripped, '#' comments and blank lines skipped, commas treated
     as whitespace.  Wrong column counts or non-numeric tokens raise a
@@ -51,46 +51,55 @@ def read_numeric_rows(path, n_cols: int):
         lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text: {err}", path=path) from err
-    rows = []
+    numbers, tokens = [], []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].replace(",", " ").strip()
-        if not text:
+        row = raw.split("#", 1)[0].replace(",", " ").split()
+        if not row:
             continue
-        tokens = text.split()
-        if len(tokens) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} columns, got {len(tokens)}", path=path, line=lineno
-            )
-        try:
-            values = tuple(float(tok) for tok in tokens)
-        except ValueError:
-            raise ParseError(f"non-numeric value in row {tokens}", path=path, line=lineno)
-        rows.append((lineno, values))
-    return rows
+        if len(row) != n_cols:
+            raise ParseError(f"expected {n_cols} columns, got {len(row)}", path=path, line=lineno)
+        numbers.append(lineno)
+        tokens.append(row)
+    try:
+        values = np.array(tokens, dtype=float).reshape(len(tokens), n_cols)
+    except ValueError:
+        for lineno, row in zip(numbers, tokens):   # name the first row that does not convert
+            try:
+                [float(tok) for tok in row]
+            except ValueError:
+                raise ParseError(f"non-numeric value in row {row}", path=path,
+                                 line=lineno) from None
+        raise
+    return np.array(numbers, dtype=int), values
+
+
+def _check_rows(path, lines, checks: dict):
+    """Name the line of the first row false in any of ``checks``, a message -> row mask dict."""
+    ok = np.array(list(checks.values())).reshape(len(checks), -1)   # nan fails every comparison
+    if not ok.all():
+        row = int(np.argmin(ok.all(axis=0)))
+        raise ValidationError(list(checks)[int(np.argmin(ok[:, row]))], path=path,
+                              line=int(lines[row]))
 
 
 def parse_optical_table(path, drude: DrudeLowFreq | None = None,
                         high_exponent: float = 3.0) -> OpticalTable:
     """Load an `energy_eV n k` file into an OpticalTable (SI frequencies)."""
     path = Path(path)
-    rows = read_numeric_rows(path, 3)
-    if len(rows) < 8:
-        raise ValidationError(f"optical table needs at least 8 rows, got {len(rows)}", path=path)
-    prev_energy = None
-    for lineno, (energy, n, k) in rows:
-        if energy <= 0.0:
-            raise ValidationError("photon energy must be positive", path=path, line=lineno)
-        if prev_energy is not None and energy <= prev_energy:
-            raise ValidationError("photon energies must be strictly increasing", path=path, line=lineno)
-        if n < 0.0 or k < 0.0:
-            raise ValidationError("n and k must be non-negative", path=path, line=lineno)
-        prev_energy = energy
-    data = np.array([values for _, values in rows])
+    lines, data = read_numeric_rows(path, 3)
+    if lines.size < 8:
+        raise ValidationError(f"optical table needs at least 8 rows, got {lines.size}", path=path)
+    energy, n, k = data.T
+    _check_rows(path, lines, {
+        "photon energy must be finite and positive": (energy > 0.0) & (energy < math.inf),
+        "photon energies must be strictly increasing":
+            np.concatenate(([True], energy[1:] > energy[:-1])),
+        "n and k must be finite and non-negative":
+            (n >= 0.0) & (n < math.inf) & (k >= 0.0) & (k < math.inf),
+    })
     try:
-        return OpticalTable(
-            omega=ev_to_angular(data[:, 0]), n=data[:, 1], k=data[:, 2],
-            low_ext=drude, high_exponent=high_exponent,
-        )
+        return OpticalTable(omega=ev_to_angular(energy), n=n, k=k, low_ext=drude,
+                            high_exponent=high_exponent)
     except ValidationError as err:
         raise ValidationError(str(err), path=path) from err
 
@@ -98,28 +107,21 @@ def parse_optical_table(path, drude: DrudeLowFreq | None = None,
 def parse_oscillator_file(path) -> OscillatorSet:
     """Load an `omega_eV f0n` file into an OscillatorSet (SI frequencies)."""
     path = Path(path)
-    rows = read_numeric_rows(path, 2)
-    if not rows:
+    lines, data = read_numeric_rows(path, 2)
+    if not lines.size:
         raise ValidationError("oscillator file contains no data rows", path=path)
-    for lineno, (omega_eV, strength) in rows:
-        if not (0.0 < omega_eV < math.inf and 0.0 < strength < math.inf):
-            raise ValidationError(
-                "oscillator frequency and strength must be finite and positive",
-                path=path, line=lineno,
-            )
-    return OscillatorSet(
-        strengths=tuple(values[1] for _, values in rows),
-        frequencies=tuple(ev_to_angular(values[0]) for _, values in rows),
-    )
+    _check_rows(path, lines, {"oscillator frequency and strength must be finite and positive":
+                              np.all((data > 0.0) & (data < math.inf), axis=1)})
+    return OscillatorSet(strengths=tuple(data[:, 1]),
+                         frequencies=tuple(ev_to_angular(data[:, 0])))
 
 
 def parse_alpha_table(path) -> TabulatedAlpha:
     """Load a `xi_eV alpha_au` file into a TabulatedAlpha (SI units)."""
     path = Path(path)
-    rows = read_numeric_rows(path, 2)
-    if len(rows) < 2:
+    lines, data = read_numeric_rows(path, 2)
+    if lines.size < 2:
         raise ValidationError("polarizability table needs at least 2 rows", path=path)
-    data = np.array([values for _, values in rows])
     try:
         return TabulatedAlpha(xi=ev_to_angular(data[:, 0]), alpha=au_volume_to_si(data[:, 1]))
     except ValidationError as err:
@@ -245,11 +247,13 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
                 omega_p=ev_to_angular(float(d["omega_p_eV"])),
                 nu=ev_to_angular(float(d["nu_eV"])),
             )
-        table = parse_optical_table(
-            _resolve(base, spec), drude=drude,
-            high_exponent=float(spec.get("high_exponent", 3.0)),
-        )
-        return TabulatedKK(table, spec["kind"], settings=kk_settings)
+        path = _resolve(base, spec)
+        table = parse_optical_table(path, drude=drude,
+                                    high_exponent=float(spec.get("high_exponent", 3.0)))
+        try:
+            return TabulatedKK(table, spec["kind"], settings=kk_settings)
+        except ValidationError as err:   # a fault of the table's rows, not of the config
+            raise ValidationError(str(err), path=path) from err
     raise ConfigError(f"unknown wall model tag {model!r}")
 
 

@@ -394,7 +394,7 @@ class TabulatedKK:
             if table.low_ext is not None:
                 raise ConfigError("a dielectric table must not carry a Drude completion")
             if table._low_e0 > 0.0 and (table._low_slope is None or table._low_slope <= 0.0):
-                raise ConfigError(
+                raise ValidationError(
                     "dielectric table fails the zero-frequency convergence check: "
                     "eps'' must decay toward zero frequency"
                 )

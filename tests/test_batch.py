@@ -14,8 +14,10 @@ from atomwall import (
     OscillatorSet,
     Plasma,
     StaticAlpha,
+    TabulatedAlpha,
     TabulatedKK,
     UsageError,
+    alpha_iw,
     au_volume_to_si,
     ev_to_angular,
     free_energy,
@@ -32,15 +34,19 @@ ATOMS = [
     StaticAlpha(au_volume_to_si(315.63)),
     OscillatorSet((0.5935,), (ev_to_angular(1.18),)),
 ]
+_ALPHA_XI = ev_to_angular(np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 119))))
+# at 4 K a short separation reads this table's alpha at some 23 000 terms of
+# its middle, whose weights must not depend on the rest of the batch
+TABULATED_ATOM = TabulatedAlpha(_ALPHA_XI, alpha_iw(ATOMS[1], _ALPHA_XI))
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     wall=st.sampled_from(WALLS),
-    atom=st.sampled_from(ATOMS),
+    atom=st.sampled_from(ATOMS + [TABULATED_ATOM]),
     # log10 of the separation in m, inside and on both sides of the trusted window
     exponents=st.lists(st.floats(-8.65, -4.8), min_size=1, max_size=4),
-    T=st.sampled_from([77.0, 300.0]),
+    T=st.sampled_from([4.0, 77.0, 300.0]),
     data=st.data(),
 )
 def test_batch_equals_single_and_ignores_order(wall, atom, exponents, T, data):

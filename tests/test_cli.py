@@ -344,6 +344,28 @@ class TestExitCodes:
         _assert_one_error_line(result, 3)
         assert "neg.nk:5: " in result.stderr and str(cfg) not in result.stderr
 
+    def test_nan_row_of_optical_table_exits_3_naming_its_line(self, tmp_path):
+        rows = [f"{e}.0 1.0 0.1" for e in range(1, 10)]
+        rows[4] = "nan 1.0 0.1"
+        (tmp_path / "t_nan.nk").write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, base_config(
+            wall={"model": "tabulated", "file": "t_nan.nk", "kind": "dielectric"}))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert "t_nan.nk:5: " in result.stderr and str(cfg) not in result.stderr
+
+    def test_dielectric_table_rising_toward_zero_frequency_exits_3_naming_it(self, tmp_path):
+        # eps'' = 2 n k grows toward zero frequency, so the transform cannot converge there
+        energies, k = np.geomspace(0.1, 10.0, 10), np.geomspace(1.0, 0.1, 10)
+        (tmp_path / "rising.nk").write_text("".join(
+            f"{float(e)!r} 1.5 {float(kk)!r}\n" for e, kk in zip(energies, k)))
+        cfg = write_config(tmp_path, base_config(
+            wall={"model": "tabulated", "file": "rising.nk", "kind": "dielectric"}))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr.startswith(f"error: {tmp_path / 'rising.nk'}: ")
+        assert "zero-frequency" in result.stderr and str(cfg) not in result.stderr
+
     @pytest.mark.parametrize("labels", [["x", "x"], ["a_nm"], ["abs_free_energy_ref_J"],
                                         ["p,q"], ["p\nq"], ["p\rq"], [7]],
                              ids=["repeated", "a_nm", "reference_column", "comma",

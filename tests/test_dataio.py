@@ -41,11 +41,10 @@ class TestRowReader:
         # format example: eV energies with n, k columns
         f = tmp_path / "two.nk"
         f.write_text("# comment\n1.0 0.2 5.0\n2.0, 0.5, 3.0\n")
-        rows = read_numeric_rows(f, 3)
-        assert len(rows) == 2
-        assert rows[0] == (2, (1.0, 0.2, 5.0))
-        assert rows[1] == (3, (2.0, 0.5, 3.0))
-        assert ev_to_angular(rows[0][1][0]) == pytest.approx(1.5192674e15, rel=1e-6)
+        lines, values = read_numeric_rows(f, 3)
+        assert lines.tolist() == [2, 3]
+        assert values.tolist() == [[1.0, 0.2, 5.0], [2.0, 0.5, 3.0]]
+        assert ev_to_angular(values[0, 0]) == pytest.approx(1.5192674e15, rel=1e-6)
 
     def test_malformed_row_names_line(self, tmp_path):
         f = tmp_path / "bad.nk"
@@ -86,6 +85,17 @@ class TestParseOpticalTable:
         f = tmp_path / "neg.nk"
         rows = [f"{e}.0 1.0 0.1" for e in range(1, 10)]
         rows[4] = "5.0 1.0 -0.1"
+        f.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError) as err:
+            parse_optical_table(f)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("row", ["nan 1.0 0.1", "inf 1.0 0.1", "5.0 nan 0.1",
+                                     "5.0 1.0 inf"])
+    def test_non_finite_row_names_line(self, tmp_path, row):
+        f = tmp_path / "nan.nk"
+        rows = [f"{e}.0 1.0 0.1" for e in range(1, 10)]
+        rows[4] = row
         f.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValidationError) as err:
             parse_optical_table(f)

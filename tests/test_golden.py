@@ -179,7 +179,7 @@ TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "6b3d35f70cebd02cf5b56bcd35b42d3b838a1aa10f3e853a5e833426187336d5",
     ("table", "csv"): "34e5d4ad1cc80240095d35d2ff67bc0d47b3f7488ef319b1ad467cc59a56f770",
-    ("table", "json"): "9af975c0e282ddb2f0af81a89cdb07b2edf92e334bf377c47d8554f7939de94e",
+    ("table", "json"): "ae2c2062cb1114086c13417bdbe1e5c485c0d9a50dfcc76678472594cd595861",
 }
 
 

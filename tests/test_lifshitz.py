@@ -666,9 +666,21 @@ _REF_WALLS = {
     "weak_plasma": Plasma(ev_to_angular(0.05)),
 }
 _OSCILLATOR = OscillatorSet((0.5935,), (ev_to_angular(1.18),))
-_ALPHA_ROWS = ev_to_angular(np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 119))))
+
+
+def _alpha_table(rows, top_eV, digits=None):
+    """_OSCILLATOR sampled at xi = 0 and rows - 1 log-spaced xi up to top_eV, optionally rounded."""
+    xi = ev_to_angular(np.concatenate(([0.0], np.geomspace(1e-3, top_eV, rows - 1))))
+    alpha = alpha_iw(_OSCILLATOR, xi)
+    if digits is not None:   # rounding is monotone, so the rows stay non-increasing
+        alpha = np.array([float(f"{v:.{digits}g}") for v in alpha])
+    return TabulatedAlpha(xi, alpha)
+
+
 _REF_ATOMS = {"oscillator": _OSCILLATOR,
-              "tabulated": TabulatedAlpha(_ALPHA_ROWS, alpha_iw(_OSCILLATOR, _ALPHA_ROWS)),
+              "tabulated": _alpha_table(120, 50.0),
+              "tabulated_40_rounded": _alpha_table(40, 50.0, digits=4),
+              "tabulated_40_to_3keV": _alpha_table(40, 3000.0),
               "static": StaticAlpha(ALPHA0)}
 _REF_SEPARATIONS = (1e-9, 3e-9, 3e-8, 1e-6, 1e-5)
 _REF_MAX_TERMS = 400_000   # longer plain sums (1 and 3 nm at 4 K) are left out
@@ -704,18 +716,25 @@ class TestPlainSumReference:
     """The sum against every term up to zeta_l = 60, at the same quad_rel_tol."""
 
     def test_series_rel_tol_floor(self):
-        # below 1e-13 the rounding of a long head's sum would exceed the tolerance
+        # at 1e-14 the planned sum misses a plain sum by 6e-14 of it, on rounding
         with pytest.raises(DomainError):
             NumericalTolerances(series_rel_tol=1e-14)
 
     def test_long_head_meets_the_floor(self):
-        # the tabulated atom at 4 K and 100 nm sums some 23 000 terms one by one,
-        # which round to 2.8e-14 of the plain sum
+        # the tabulated atom at 4 K and 100 nm reads alpha at some 23 000 terms,
+        # summed with the interpolated per-frequency integrals of the middle
         reference = _plain_sum_reference("ideal_metal", "tabulated", 1e-7, 4.0)
         tol = NumericalTolerances(series_rel_tol=1e-13, quad_rel_tol=1e-11)
         res = free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"], wall=IdealMetal(),
                                              a=1e-7, T=4.0, tol=tol))
         assert abs(res.free_energy / reference - 1.0) <= 1e-13
+
+    def test_tabulated_atom_plans_few_evaluations_at_4K(self):
+        # the terms between the head and the tail above the table read alpha one
+        # by one but integrate only the middle's interpolation nodes
+        res = free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"],
+                                             wall=_REF_WALLS["plasma"], a=3e-8, T=4.0))
+        assert res.n_terms_used <= 150
 
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
