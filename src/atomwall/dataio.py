@@ -112,8 +112,7 @@ def parse_oscillator_file(path) -> OscillatorSet:
         raise ValidationError("oscillator file contains no data rows", path=path)
     _check_rows(path, lines, {"oscillator frequency and strength must be finite and positive":
                               np.all((data > 0.0) & (data < math.inf), axis=1)})
-    return OscillatorSet(strengths=tuple(data[:, 1]),
-                         frequencies=tuple(ev_to_angular(data[:, 0])))
+    return OscillatorSet(strengths=tuple(data[:, 1]), frequencies=tuple(ev_to_angular(data[:, 0])))
 
 
 def parse_alpha_table(path) -> TabulatedAlpha:

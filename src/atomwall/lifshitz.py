@@ -69,7 +69,7 @@ class NumericalTolerances:
 
     series_rel_tol: float = 1e-9
     quad_rel_tol: float = 1e-9
-    max_terms: int = 10 ** 6
+    max_terms: int = 10 ** 6   # evaluations plus the alpha reads of a middle, per request
 
     def __post_init__(self):
         if not (_SERIES_TOL_FLOOR <= self.series_rel_tol < 1.0):
@@ -103,7 +103,7 @@ class FreeEnergyResult:
     free_energy: float     # J, negative = attractive
     classical_term: float  # J, l = 0 contribution
     thermal_term: float    # J, sum of all l >= 1 contributions
-    n_terms_used: int      # integrand evaluations: exact terms, middle and tail nodes, stencil points
+    n_terms_used: int      # integrand evaluations: exact terms, middle/tail nodes, stencil points
     max_quad_nodes: int
     normalized: float      # F / E_CP(a)
     warnings: list
@@ -339,8 +339,7 @@ def _lobatto_matrix(start: int, top: int, first: int, stop: int):
     lo, hi = math.log(start), math.log(top)
     l_k = np.exp(0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0, np.pi, _MIDDLE_NODES)))
     l_k[0], l_k[-1] = start, top
-    w = (-1.0) ** np.arange(_MIDDLE_NODES)
-    w[[0, -1]] *= 0.5
+    w = (-1.0) ** np.arange(_MIDDLE_NODES) * np.r_[0.5, np.ones(_MIDDLE_NODES - 2), 0.5]
     d = np.log(np.arange(first, stop)) - np.log(l_k)[:, None]
     b = w[:, None] / np.where(d == 0.0, 1e-300, d)   # a term on a node takes that node's value
     b /= b.sum(axis=0)
@@ -349,15 +348,15 @@ def _lobatto_matrix(start: int, top: int, first: int, stop: int):
 
 
 def _middle_rows(tau: float, L: int, end: int, panels: int, alpha):
-    """(l_k, W_k) with sum_{L <= l <= end} alpha(l) g(l) ~ sum_k W_k g(l_k); alpha[l - L] = alpha(l).
+    """(l_k, W_k) with sum_{L<=l<=end} alpha(l) g(l) ~ sum_k W_k g(l_k); alpha[l - L] = alpha(l).
 
-    On ``panels`` panels of equal width in ln l, g(l) e^{tau l} is read from its
-    nodes (``_lobatto_matrix``) and alpha is summed term by term, W_k = e^{tau l_k}
-    sum_l alpha(l) e^{-tau l} B_kl, in blocks whose order depends on the panel alone.
+    On ``panels`` panels of equal width in ln l, which share their edge nodes, g(l) e^{tau l}
+    is read from its nodes (``_lobatto_matrix``) and alpha is summed term by term, W_k =
+    e^{tau l_k} sum_l alpha(l) e^{-tau l} B_kl, in blocks whose order depends on the panel alone.
     """
     edges = [L, *(round(L * (end / L) ** (p / panels)) for p in range(1, panels)), end]
-    l_k, w_k = [], []
-    for start, top in zip(edges[:-1], edges[1:]):
+    l_k, w_k = np.zeros((2, (_MIDDLE_NODES - 1) * panels + 1))
+    for k, (start, top) in enumerate(zip(edges[:-1], edges[1:])):
         stop = top + 1 if top == end else top   # the next panel starts at top
         total = np.zeros(_MIDDLE_NODES)
         for first in range(start, stop, _MIDDLE_CHUNK):
@@ -366,9 +365,10 @@ def _middle_rows(tau: float, L: int, end: int, panels: int, alpha):
             # einsum sums each row alone up to 8 192 columns (see _integrate_chunk)
             v = alpha[first - L:last - L] * np.exp(-tau * np.arange(first, last))
             total += np.einsum("kl,l->k", b, v)
-        l_k.append(nodes)
-        w_k.append(np.exp(tau * nodes) * total)
-    return np.concatenate(l_k), np.concatenate(w_k)
+        at = slice(k * (_MIDDLE_NODES - 1), (k + 1) * (_MIDDLE_NODES - 1) + 1)
+        l_k[at] = nodes
+        w_k[at] += np.exp(tau * nodes) * total
+    return l_k, w_k
 
 
 def _tail_points(tau, L: int, panels: int):
@@ -388,8 +388,7 @@ def _tail_points(tau, L: int, panels: int):
     half = 0.5 * np.diff(edges)[:, :, None]
     nodes = np.exp(edges[:, :-1, None] + half * (x + 1.0))
     shape = (tau.size, _STENCIL.size)
-    ls = np.concatenate([np.broadcast_to(L + _STENCIL, shape),
-                         nodes.reshape(tau.size, -1)], axis=1)
+    ls = np.concatenate([np.broadcast_to(L + _STENCIL, shape), nodes.reshape(tau.size, -1)], axis=1)
     weights = np.concatenate([np.broadcast_to(_STENCIL_WEIGHTS, shape),
                               (half * w * nodes).reshape(tau.size, -1)], axis=1)
     return ls, weights
@@ -439,28 +438,30 @@ def free_energy_batch(requests) -> list:
     plain = np.ceil(_ZETA_MAX / tau).astype(int)
     em_cost = top - 1 + _STENCIL.size + panels * _TAIL_ORDER
     em = plain > em_cost
-    exact = np.where(em, top - 1, plain)     # the last term whose alpha is read one by one
-    # the middle's panels, none where its terms are no more than the nodes
-    middle = np.ceil(np.log(np.maximum(exact, L) / L) / math.log(_MIDDLE_RATIO)).astype(int)
-    middle[(exact - L + 1 <= _MIDDLE_NODES * np.maximum(middle, 1)) | (top == L)] = 0
-    head = np.where(middle > 0, L - 1, exact)
-    planned = head + _MIDDLE_NODES * middle + np.where(em, em_cost - top + 1, 0)
-    if np.any(planned > tol.max_terms):
-        i = int(np.argmax(planned > tol.max_terms))   # the first such request, in request order
-        raise ConvergenceError(
-            "Matsubara sum needs more evaluations than max_terms",
-            max_terms=tol.max_terms, evaluations=int(planned[i]), a=requests[i].a, T=T,
-        )
+    planned = np.where(em, em_cost, plain)
+    head = np.where(em, top - 1, plain)   # the terms whose alpha is read one by one
+    nodes = np.zeros(n, dtype=int)
+    if top > L:   # a tabulated alpha: a middle wherever its panels take fewer rows than its terms
+        middle = np.ceil(np.log(np.maximum(head, L + 1) / L) / math.log(_MIDDLE_RATIO)).astype(int)
+        nodes = (_MIDDLE_NODES - 1) * middle + 1
+        nodes[head - L + 1 <= nodes] = 0
+    over = planned + nodes > tol.max_terms   # every row and alpha read, before any is made
+    if over.any():
+        i = int(np.argmax(over))   # the first such request, in request order
+        raise ConvergenceError("Matsubara sum needs more evaluations than max_terms",
+                               max_terms=tol.max_terms, evaluations=int(planned[i] + nodes[i]),
+                               a=requests[i].a, T=T)
+    mids, exact = np.nonzero(nodes)[0], head.copy()
+    planned[mids] += nodes[mids] - (exact[mids] - L + 1)
+    head[mids] = L - 1
     head_l = np.arange(1, head.sum() + 1) - np.repeat(np.cumsum(head) - head, head)
     parts = [(np.repeat(np.arange(n), head), head_l, np.ones(head_l.size))]   # owner, l, weight
-    if middle.any():
-        mids = np.nonzero(middle)[0]
+    if mids.size:
         alpha_l = alpha_iw(atom, xi1 * np.arange(L, int(exact[mids].max()) + 1))
         l_k, w_k = (np.concatenate(v) for v in zip(*(
             _middle_rows(tau[i], L, int(exact[i]), int(middle[i]), alpha_l) for i in mids)))
         # a node's row is multiplied by alpha(l_k) below, as every row is
-        parts.append((np.repeat(mids, _MIDDLE_NODES * middle[mids]), l_k,
-                      w_k / alpha_iw(atom, xi1 * l_k)))
+        parts.append((np.repeat(mids, nodes[mids]), l_k, w_k / alpha_iw(atom, xi1 * l_k)))
     if em.any():
         tail_l, tail_w = _tail_points(tau[em], top, panels)
         parts.append((np.repeat(np.nonzero(em)[0], tail_l.shape[1]), tail_l.ravel(),

@@ -131,6 +131,21 @@ def test_max_terms_exhaustion_raises_before_any_integration(monkeypatch):
     assert err.value.diagnostics["evaluations"] == 78
 
 
+def test_max_terms_bounds_the_alpha_reads_of_a_middle(monkeypatch):
+    # at 1 mK this table's tail starts near l = 9e7, and the middle below it would
+    # read alpha at every term: the plan is refused before the first read
+    from atomwall import lifshitz
+
+    def no_reads(*args):
+        raise AssertionError("alpha read before the plan was checked")
+
+    monkeypatch.setattr(lifshitz, "alpha_iw", no_reads)
+    req = ComputationRequest(atom=TABULATED_ATOM, wall=WALLS[0], a=3e-8, T=1e-3)
+    with pytest.raises(ConvergenceError) as err:
+        free_energy(req)
+    assert err.value.diagnostics["evaluations"] > 10 ** 7
+
+
 def test_max_quad_nodes_covers_summed_rows(helium_like_atom):
     # the node count is the largest over the rows summed, not the whole block
     from atomwall import CODATA, eps_iw, matsubara_zeta

@@ -736,6 +736,21 @@ class TestPlainSumReference:
                                              wall=_REF_WALLS["plasma"], a=3e-8, T=4.0))
         assert res.n_terms_used <= 150
 
+    def test_middle_panels_share_their_edge_rows(self, monkeypatch):
+        # at 4 K and 1 um the middle runs from 26 to 2 734 on two panels: 65 nodes, not 66
+        from atomwall import lifshitz
+
+        zetas, block = [], lifshitz._matsubara_integral_block
+
+        def recording(eps, zeta, rel_tol):
+            zetas.append(zeta)
+            return block(eps, zeta, rel_tol)
+
+        monkeypatch.setattr(lifshitz, "_matsubara_integral_block", recording)
+        res = free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"],
+                                             wall=_REF_WALLS["plasma"], a=1e-6, T=4.0))
+        assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == 25 + 65
+
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
     @pytest.mark.parametrize("atom_name", list(_REF_ATOMS))
