@@ -1,13 +1,16 @@
-"""Parsing and validation of data files and JSON run configurations.
+"""Reading of data files and JSON run configurations.
 
 All on-disk quantities are user-facing units (photon energies in eV,
 separations in nm, polarizabilities in atomic units) and are converted to SI
 immediately on load.  Data files are plain text with '#' comments and
 whitespace- or comma-separated columns:
 
-    optical table:      energy_eV  n  k        (strictly increasing energy)
-    oscillator file:    omega_eV   f0n
-    polarizability:     xi_eV      alpha_au    (first row must be xi = 0)
+    optical table:      energy_eV  n  k        -> OpticalTable
+    oscillator file:    omega_eV   f0n         -> OscillatorSet
+    polarizability:     xi_eV      alpha_au    -> TabulatedAlpha
+
+Each model checks its own rows; a row it rejects is reported here as
+``file:line:``.
 
 Run configurations are JSON; see the README for the full schema and an
 annotated example.
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import au_volume_to_si, ev_to_angular
+from .constants import AU_POLARIZABILITY, EV_TO_RAD_PER_S, au_volume_to_si, ev_to_angular
 from .dielectric import (
     DrudeLowFreq,
     IdealMetal,
@@ -73,58 +76,38 @@ def read_numeric_rows(path, n_cols: int):
     return np.array(numbers, dtype=int), values
 
 
-def _check_rows(path, lines, checks: dict):
-    """Name the line of the first row false in any of ``checks``, a message -> row mask dict."""
-    ok = np.array(list(checks.values())).reshape(len(checks), -1)   # nan fails every comparison
-    if not ok.all():
-        row = int(np.argmin(ok.all(axis=0)))
-        raise ValidationError(list(checks)[int(np.argmin(ok[:, row]))], path=path,
-                              line=int(lines[row]))
+def _read_model(path, n_cols: int, build):
+    """``build(*columns)`` on a data file's numeric rows.
+
+    The model checks its rows; a ValidationError it raises is re-raised naming
+    this file, and the line of its ``row`` if it has one.
+    """
+    path = Path(path)
+    lines, data = read_numeric_rows(path, n_cols)
+    try:
+        return build(*data.T)
+    except ValidationError as err:
+        line = None if err.row is None else int(lines[err.row])
+        raise ValidationError(str(err), path=path, line=line) from err
 
 
 def parse_optical_table(path, drude: DrudeLowFreq | None = None,
                         high_exponent: float = 3.0) -> OpticalTable:
     """Load an `energy_eV n k` file into an OpticalTable (SI frequencies)."""
-    path = Path(path)
-    lines, data = read_numeric_rows(path, 3)
-    if lines.size < 8:
-        raise ValidationError(f"optical table needs at least 8 rows, got {lines.size}", path=path)
-    energy, n, k = data.T
-    _check_rows(path, lines, {
-        "photon energy must be finite and positive": (energy > 0.0) & (energy < math.inf),
-        "photon energies must be strictly increasing":
-            np.concatenate(([True], energy[1:] > energy[:-1])),
-        "n and k must be finite and non-negative":
-            (n >= 0.0) & (n < math.inf) & (k >= 0.0) & (k < math.inf),
-    })
-    try:
-        return OpticalTable(omega=ev_to_angular(energy), n=n, k=k, low_ext=drude,
-                            high_exponent=high_exponent)
-    except ValidationError as err:
-        raise ValidationError(str(err), path=path) from err
+    return _read_model(path, 3, lambda energy, n, k: OpticalTable(
+        energy * EV_TO_RAD_PER_S, n, k, low_ext=drude, high_exponent=high_exponent))
 
 
 def parse_oscillator_file(path) -> OscillatorSet:
     """Load an `omega_eV f0n` file into an OscillatorSet (SI frequencies)."""
-    path = Path(path)
-    lines, data = read_numeric_rows(path, 2)
-    if not lines.size:
-        raise ValidationError("oscillator file contains no data rows", path=path)
-    _check_rows(path, lines, {"oscillator frequency and strength must be finite and positive":
-                              np.all((data > 0.0) & (data < math.inf), axis=1)})
-    return OscillatorSet(strengths=tuple(data[:, 1]), frequencies=tuple(ev_to_angular(data[:, 0])))
+    return _read_model(path, 2, lambda omega, f: OscillatorSet(
+        strengths=tuple(f), frequencies=tuple(omega * EV_TO_RAD_PER_S)))
 
 
 def parse_alpha_table(path) -> TabulatedAlpha:
     """Load a `xi_eV alpha_au` file into a TabulatedAlpha (SI units)."""
-    path = Path(path)
-    lines, data = read_numeric_rows(path, 2)
-    if lines.size < 2:
-        raise ValidationError("polarizability table needs at least 2 rows", path=path)
-    try:
-        return TabulatedAlpha(xi=ev_to_angular(data[:, 0]), alpha=au_volume_to_si(data[:, 1]))
-    except ValidationError as err:
-        raise ValidationError(str(err), path=path) from err
+    return _read_model(path, 2, lambda xi, alpha: TabulatedAlpha(
+        xi * EV_TO_RAD_PER_S, alpha * AU_POLARIZABILITY))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +229,12 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
                 omega_p=ev_to_angular(float(d["omega_p_eV"])),
                 nu=ev_to_angular(float(d["nu_eV"])),
             )
-        path = _resolve(base, spec)
-        table = parse_optical_table(path, drude=drude,
-                                    high_exponent=float(spec.get("high_exponent", 3.0)))
-        try:
-            return TabulatedKK(table, spec["kind"], settings=kk_settings)
-        except ValidationError as err:   # a fault of the table's rows, not of the config
-            raise ValidationError(str(err), path=path) from err
+        high_exponent = float(spec.get("high_exponent", 3.0))
+        # built inside the reader: a fault of the table's rows names the table, not the config
+        return _read_model(_resolve(base, spec), 3, lambda energy, n, k: TabulatedKK(
+            OpticalTable(energy * EV_TO_RAD_PER_S, n, k, low_ext=drude,
+                         high_exponent=high_exponent),
+            spec["kind"], settings=kk_settings))
     raise ConfigError(f"unknown wall model tag {model!r}")
 
 
@@ -388,8 +370,7 @@ def _parse_tolerances(spec) -> NumericalTolerances:
     if spec is None:
         return NumericalTolerances()
     casts = {"series_rel_tol": float, "quad_rel_tol": float, "max_terms": int}
-    # consecutive_small is accepted, for older configs, and has no effect
-    unknown = set(spec) - {*casts, "consecutive_small"}
+    unknown = set(spec) - set(casts)
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
     return NumericalTolerances(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})

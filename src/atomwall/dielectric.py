@@ -35,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebval
 
-from .errors import ConfigError, ConvergenceError, DomainError, ValidationError
+from .errors import ConfigError, ConvergenceError, DomainError, ValidationError, _check_rows
 from .quadrature import gauss_legendre
 
 METAL = "metal"
@@ -107,14 +107,13 @@ class OpticalTable:
             raise ValidationError("omega, n, k must be 1-d arrays of equal length")
         if omega.size < 8:
             raise ValidationError(f"optical table needs at least 8 rows, got {omega.size}")
-        if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
-            raise ValidationError("frequencies must be finite and positive")
-        if np.any(np.diff(omega) <= 0.0):
-            raise ValidationError("frequencies must be strictly increasing")
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(k))):
-            raise ValidationError("n, k must be finite")
-        if np.any(n < 0.0) or np.any(k < 0.0):
-            raise ValidationError("n, k must be non-negative")
+        _check_rows({
+            "frequencies must be finite and positive": (omega > 0.0) & (omega < math.inf),
+            "frequencies must be strictly increasing":
+                np.concatenate(([True], omega[1:] > omega[:-1])),
+            "n and k must be finite and non-negative":
+                (n >= 0.0) & (n < math.inf) & (k >= 0.0) & (k < math.inf),
+        })
         if not 0.0 < self.high_exponent < math.inf:
             raise DomainError("high-frequency tail exponent must be finite and positive")
         eps2 = 2.0 * n * k
@@ -364,10 +363,6 @@ class NinhamParsegian:
         if not all(0.0 < c < math.inf and 0.0 < w < math.inf for c, w in terms):
             raise DomainError("Ninham-Parsegian terms must have finite C_j > 0, omega_j > 0")
 
-    @property
-    def eps_zero(self) -> float:
-        return 1.0 + sum(c for c, _ in self.terms)
-
 
 @dataclass(frozen=True, eq=False)
 class TabulatedKK:
@@ -473,7 +468,7 @@ def eps_iw(model, xi):
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float)
 
-    if model.kind == METAL and np.any(flat <= 0.0):
+    if getattr(model, "kind", None) == METAL and np.any(flat <= 0.0):
         raise DomainError("metal model undefined at xi <= 0; use f0 for the l=0 term")
     if np.any(flat < 0.0):
         raise DomainError("xi must be non-negative")
@@ -496,18 +491,11 @@ def eps_iw(model, xi):
 def f0(model) -> float:
     """Zero-Matsubara-frequency reflection factor in [0, 1].
 
-    1 for metals; (eps(0)-1)/(eps(0)+1) for dielectrics, with eps(0) taken
-    from the model's own static limit (for tabulated dielectrics, the xi=0
-    dispersion transform).
+    1 for metals; (eps(0)-1)/(eps(0)+1) for dielectrics, with eps(0) =
+    ``eps_iw(model, 0)`` (for tabulated dielectrics, the xi=0 dispersion
+    transform).
     """
     if getattr(model, "kind", None) == METAL:
         return 1.0
-    if isinstance(model, StaticPermittivity):
-        e0 = model.eps_static
-    elif isinstance(model, NinhamParsegian):
-        e0 = model.eps_zero
-    elif isinstance(model, TabulatedKK):
-        e0 = eps_iw(model, 0.0)
-    else:
-        raise ConfigError(f"unknown dielectric model {type(model).__name__}")
+    e0 = eps_iw(model, 0.0)
     return (e0 - 1.0) / (e0 + 1.0)

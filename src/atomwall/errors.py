@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the row check that raises them."""
+
+import numpy as np
 
 
 class AtomWallError(Exception):
@@ -14,11 +16,16 @@ class ConfigError(AtomWallError):
 
 
 class FileLocatedError(ConfigError):
-    """Error tied to a location in an input file."""
+    """Error tied to a location in an input file, or to a row of a model's table.
 
-    def __init__(self, message, path=None, line=None):
+    ``row`` is the 0-based index of the offending row among those the model
+    was given; the file reader turns it into ``line``.
+    """
+
+    def __init__(self, message, path=None, line=None, row=None):
         self.path = path
         self.line = line
+        self.row = row
         loc = ""
         if path is not None:
             loc = f"{path}: " if line is None else f"{path}:{line}: "
@@ -31,6 +38,14 @@ class ParseError(FileLocatedError):
 
 class ValidationError(FileLocatedError):
     """Parsed content violates a documented invariant."""
+
+
+def _check_rows(checks: dict):
+    """Raise a ValidationError for the first row false in ``checks``, a message -> row mask dict."""
+    ok = np.array(list(checks.values())).reshape(len(checks), -1)   # nan fails every comparison
+    if not ok.all():
+        row = int(np.argmin(ok.all(axis=0)))
+        raise ValidationError(list(checks)[int(np.argmin(ok[:, row]))], row=row)
 
 
 class ConvergenceError(AtomWallError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import OSCILLATOR_PREFACTOR
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _check_rows
 from .quadrature import pchip
 
 
@@ -46,8 +46,9 @@ class OscillatorSet:
         object.__setattr__(self, "frequencies", w)
         if len(f) == 0 or len(f) != len(w):
             raise ValidationError("need equally many strengths and frequencies, at least one")
-        if any(x <= 0.0 or not math.isfinite(x) for x in f + w):
-            raise ValidationError("oscillator strengths and frequencies must be positive")
+        rows = np.array([w, f]).T
+        _check_rows({"oscillator frequency and strength must be finite and positive":
+                     np.all((rows > 0.0) & (rows < math.inf), axis=1)})
 
     @property
     def n_oscillators(self) -> int:
@@ -58,31 +59,37 @@ class OscillatorSet:
         return float(sum(self.strengths))
 
 
+@dataclass(frozen=True, eq=False)
 class TabulatedAlpha:
     """alpha(i xi) samples on an increasing xi grid that must start at xi = 0.
 
     Queries above the last row use a 1/xi^2 tail matched at that row (the
-    oscillator form forces that asymptote).
+    oscillator form forces that asymptote).  Immutable, and hashed by identity.
     """
 
-    def __init__(self, xi, alpha):
+    xi: np.ndarray     # rad/s
+    alpha: np.ndarray  # m^3
+
+    def __post_init__(self):
         # read-only copies: an edit of the caller's arrays cannot reach the model
-        xi, alpha = np.array(xi, dtype=float), np.array(alpha, dtype=float)
-        xi.flags.writeable = alpha.flags.writeable = False
+        for name in ("xi", "alpha"):
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        xi, alpha = self.xi, self.alpha
         if xi.ndim != 1 or xi.shape != alpha.shape or xi.size < 2:
             raise ValidationError("need matching 1-d xi and alpha arrays with >= 2 rows")
-        if xi[0] != 0.0:
-            raise ValidationError("tabulated polarizability must include a xi = 0 row")
-        if not (np.all(np.diff(xi) > 0.0) and np.isfinite(xi[-1])):
-            raise ValidationError("xi values must be finite and strictly increasing")
-        if np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
-            raise ValidationError("alpha values must be positive and finite")
-        if np.any(np.diff(alpha) > 0.0):
-            raise ValidationError("alpha values must be non-increasing in xi")
-        self.xi = xi
-        self.alpha = alpha
-        self._interp = pchip(xi, alpha)
-        self._tail_c = float(alpha[-1] * xi[-1] ** 2)
+        _check_rows({
+            "tabulated polarizability must start with a xi = 0 row":
+                (np.arange(xi.size) > 0) | (xi == 0.0),
+            "xi values must be finite and strictly increasing":
+                (xi < math.inf) & np.concatenate(([True], xi[1:] > xi[:-1])),
+            "alpha values must be positive and finite": (alpha > 0.0) & (alpha < math.inf),
+            "alpha values must be non-increasing in xi":
+                np.concatenate(([True], alpha[1:] <= alpha[:-1])),
+        })
+        object.__setattr__(self, "_interp", pchip(xi, alpha))
+        object.__setattr__(self, "_tail_c", float(alpha[-1] * xi[-1] ** 2))
 
     def __call__(self, xi):
         x = np.atleast_1d(np.asarray(xi, dtype=float))

@@ -323,16 +323,16 @@ class TestExitCodes:
         assert result.stderr.startswith(f"error: {cfg}: ")
         assert message in result.stderr
 
-    @pytest.mark.parametrize("rows", ["0.0 315.63\nnan 250.0\n2.0 60.0\n",
-                                      "0.0 315.63\n1.0 250.0\ninf 60.0\n"],
+    @pytest.mark.parametrize("rows, line", [("0.0 315.63\nnan 250.0\n2.0 60.0\n", 2),
+                                            ("0.0 315.63\n1.0 250.0\ninf 60.0\n", 3)],
                              ids=["nan_row", "inf_last_row"])
-    def test_non_finite_alpha_row_exits_3_naming_the_table(self, tmp_path, rows):
+    def test_non_finite_alpha_row_exits_3_naming_the_table(self, tmp_path, rows, line):
         (tmp_path / "alpha.dat").write_text(rows)
         cfg = write_config(tmp_path, base_config(
             atom={"model": "tabulated_alpha", "file": "alpha.dat"}))
         result = run_cli("sweep", "--config", str(cfg))
         _assert_one_error_line(result, 3)
-        assert "alpha.dat: " in result.stderr and str(cfg) not in result.stderr
+        assert f"alpha.dat:{line}: " in result.stderr and str(cfg) not in result.stderr
 
     def test_data_file_row_error_names_the_data_file_and_line(self, tmp_path):
         rows = [f"{e}.0 1.0 0.1" for e in range(1, 10)]

@@ -163,6 +163,50 @@ class TestParseAlphaTable:
             parse_alpha_table(f)
 
 
+_GOOD_ROWS = {
+    parse_optical_table: [f"{e}.0 1.5 0.1" for e in range(1, 10)],
+    parse_oscillator_file: ["1.18 0.30", "2.5 0.7", "4.0 0.2"],
+    parse_alpha_table: ["0.0 315.6", "0.5 250.0", "1.0 150.0", "2.0 60.0"],
+}
+
+
+@pytest.mark.parametrize("parse, index, row", [
+    (parse_optical_table, 2, "-3.0 1.5 0.1"),
+    (parse_optical_table, 2, "nan 1.5 0.1"),
+    (parse_optical_table, 2, "inf 1.5 0.1"),
+    (parse_optical_table, 2, "2.0 1.5 0.1"),     # repeats the energy above
+    (parse_optical_table, 2, "3.0 -1.5 0.1"),
+    (parse_optical_table, 2, "3.0 1.5 -0.1"),
+    (parse_oscillator_file, 1, "0.0 0.7"),
+    (parse_oscillator_file, 1, "-2.5 0.7"),
+    (parse_oscillator_file, 1, "2.5 0.0"),
+    (parse_oscillator_file, 1, "2.5 -0.7"),
+    (parse_oscillator_file, 1, "nan 0.7"),
+    (parse_oscillator_file, 1, "2.5 inf"),
+    (parse_alpha_table, 0, "0.1 315.6"),         # no xi = 0 first row
+    (parse_alpha_table, 1, "nan 250.0"),
+    (parse_alpha_table, 1, "inf 250.0"),
+    (parse_alpha_table, 2, "0.5 150.0"),         # repeats the xi above
+    (parse_alpha_table, 1, "0.5 0.0"),
+    (parse_alpha_table, 1, "0.5 -250.0"),
+    (parse_alpha_table, 2, "1.0 300.0"),         # alpha rises
+], ids=["optical_negative_energy", "optical_nan_energy", "optical_inf_energy",
+        "optical_repeated_energy", "optical_negative_n", "optical_negative_k",
+        "oscillator_zero_omega", "oscillator_negative_omega", "oscillator_zero_f",
+        "oscillator_negative_f", "oscillator_nan_omega", "oscillator_inf_f",
+        "alpha_no_zero_row", "alpha_nan_xi", "alpha_inf_xi", "alpha_repeated_xi",
+        "alpha_zero_alpha", "alpha_negative_alpha", "alpha_rising"])
+def test_bad_row_names_its_file_and_line(tmp_path, parse, index, row):
+    rows = list(_GOOD_ROWS[parse])
+    rows[index] = row
+    path = tmp_path / "data.txt"
+    path.write_text("# header\n" + "\n".join(rows) + "\n")   # row i sits on line i + 2
+    with pytest.raises(ValidationError) as err:
+        parse(path)
+    assert (err.value.path, err.value.line) == (path, index + 2)
+    assert str(err.value).startswith(f"{path}:{index + 2}: ")
+
+
 def minimal_config(tmp_path, **overrides):
     doc = {
         "temperature_K": 300.0,
@@ -206,12 +250,11 @@ class TestParseRunConfig:
         assert with_key.kk_settings == parse_run_config(
             minimal_config(tmp_path, kk={"rel_tol": 1e-8})).kk_settings
 
-    def test_consecutive_small_is_accepted_without_effect(self, tmp_path):
+    def test_consecutive_small_is_unknown(self, tmp_path):
         tolerances = {"series_rel_tol": 1e-10, "quad_rel_tol": 1e-8, "max_terms": 5000}
-        with_key = parse_run_config(minimal_config(
-            tmp_path, tolerances=dict(tolerances, consecutive_small=5)))
-        assert with_key.tolerances == parse_run_config(
-            minimal_config(tmp_path, tolerances=tolerances)).tolerances
+        with pytest.raises(ConfigError, match="consecutive_small"):
+            parse_run_config(minimal_config(
+                tmp_path, tolerances=dict(tolerances, consecutive_small=5)))
         with pytest.raises(ConfigError, match="consecutive_large"):
             parse_run_config(minimal_config(tmp_path, tolerances={"consecutive_large": 3}))
 

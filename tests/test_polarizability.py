@@ -161,6 +161,12 @@ class TestTabulatedAlpha:
         assert fit.frequencies[0] == pytest.approx(4e15, rel=1e-2)
         assert static_alpha(fit) == pytest.approx(static_alpha(model), rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["xi", "alpha"])
+    def test_rows_cannot_be_reassigned(self, name):
+        table = self._from_oscillator(OscillatorSet((0.9,), (4e15,)))
+        with pytest.raises(AttributeError):
+            setattr(table, name, np.zeros(3))
+
     def test_rejects_increasing_alpha(self):
         xi = np.array([0.0, 1e14, 2e14])
         with pytest.raises(ValidationError):
