@@ -98,10 +98,14 @@ def parse_optical_table(path, drude: DrudeLowFreq | None = None,
         energy * EV_TO_RAD_PER_S, n, k, low_ext=drude, high_exponent=high_exponent))
 
 
+def _oscillators(omega, f) -> OscillatorSet:
+    """An OscillatorSet from columns of `omega_eV f0n` rows (SI frequencies)."""
+    return OscillatorSet(strengths=tuple(f), frequencies=tuple(omega * EV_TO_RAD_PER_S))
+
+
 def parse_oscillator_file(path) -> OscillatorSet:
     """Load an `omega_eV f0n` file into an OscillatorSet (SI frequencies)."""
-    return _read_model(path, 2, lambda omega, f: OscillatorSet(
-        strengths=tuple(f), frequencies=tuple(omega * EV_TO_RAD_PER_S)))
+    return _read_model(path, 2, _oscillators)
 
 
 def parse_alpha_table(path) -> TabulatedAlpha:
@@ -184,12 +188,12 @@ def _build_atom(spec: dict, base: Path):
     if model == "oscillators":
         if "file" in spec:
             return parse_oscillator_file(_resolve(base, spec))
-        if "entries" in spec:
-            entries = spec["entries"]
-            return OscillatorSet(
-                strengths=tuple(float(f) for _, f in entries),
-                frequencies=tuple(ev_to_angular(float(w)) for w, _ in entries),
-            )
+        if "entries" in spec:   # built as a file's rows are; a bad row is named by its index
+            rows = np.array([(float(w), float(f)) for w, f in spec["entries"]]).reshape(-1, 2)
+            try:
+                return _oscillators(*rows.T)
+            except ValidationError as err:
+                raise err if err.row is None else ValidationError(f"entries[{err.row}]: {err}")
         raise ConfigError("oscillators atom needs 'file' or 'entries' ([omega_eV, f0n] pairs)")
     if model == "tabulated_alpha":
         if "file" not in spec:
@@ -225,10 +229,8 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
         drude = None
         if "drude" in spec:
             d = spec["drude"]
-            drude = DrudeLowFreq(
-                omega_p=ev_to_angular(float(d["omega_p_eV"])),
-                nu=ev_to_angular(float(d["nu_eV"])),
-            )
+            drude = DrudeLowFreq(omega_p=ev_to_angular(float(d["omega_p_eV"])),
+                                 nu=ev_to_angular(float(d["nu_eV"])))
         high_exponent = float(spec.get("high_exponent", 3.0))
         # built inside the reader: a fault of the table's rows names the table, not the config
         return _read_model(_resolve(base, spec), 3, lambda energy, n, k: TabulatedKK(

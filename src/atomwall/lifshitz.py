@@ -23,8 +23,8 @@ Where that is more than the alternative, the terms l < L are summed one by
 one and the rest by Euler-Maclaurin (as for Lifshitz sums in Bordag,
 Klimchitskaya, Mohideen and Mostepanenko, *Advances in the Casimir Effect*,
 OUP 2009): every model takes any xi > 0, so the term f(l) at the continuous
-frequency xi_1 l can be integrated over l and differentiated at L.  Every
-row of a batch is therefore known before any is evaluated (``free_energy_batch``).
+frequency xi_1 l can be integrated over l and differentiated at L.  So a
+batch plans every row before it evaluates each once (``free_energy_batch``).
 """
 
 from __future__ import annotations
@@ -405,10 +405,10 @@ def free_energy_batch(requests) -> list:
     the rest as an Euler-Maclaurin tail (``_head_length``, ``_tail_points``).
     The terms L <= l < top of a tabulated alpha, its middle, are a product
     sum wherever that takes fewer rows (``_middle_rows``).  eps(i xi) and
-    alpha(i xi) are evaluated once per distinct xi, and every per-frequency
+    alpha(i xi) are read once per row, in plan order, every per-frequency
     integral of the batch goes through one ``_matsubara_integral_block``
-    call.  Each result equals ``free_energy`` of its request alone, in any
-    order.
+    call, and a request's ``n_terms_used`` is its row count.  Each result
+    equals ``free_energy`` of its request alone, in any order.
     """
     requests = list(requests)
     if not requests:
@@ -452,7 +452,6 @@ def free_energy_batch(requests) -> list:
                                max_terms=tol.max_terms, evaluations=int(planned[i] + nodes[i]),
                                a=requests[i].a, T=T)
     mids, exact = np.nonzero(nodes)[0], head.copy()
-    planned[mids] += nodes[mids] - (exact[mids] - L + 1)
     head[mids] = L - 1
     head_l = np.arange(1, head.sum() + 1) - np.repeat(np.cumsum(head) - head, head)
     parts = [(np.repeat(np.arange(n), head), head_l, np.ones(head_l.size))]   # owner, l, weight
@@ -468,35 +467,33 @@ def free_energy_batch(requests) -> list:
                       tail_w.ravel()))
     owner, ls, weights = (np.concatenate(v) for v in zip(*parts))
 
-    # every row of the batch at once; eps and alpha once per distinct xi
-    l_eval, at = np.unique(ls, return_inverse=True)
-    xis = xi1 * l_eval
-    zeta = tau[owner] * ls
+    # every row of the batch at once, in plan order; eps and alpha once per row
+    xis, zeta = xi1 * ls, tau[owner] * ls
     if isinstance(wall, IdealMetal):
         terms, nodes = ideal_metal_integral(zeta), np.zeros(ls.size, dtype=int)
     else:
         grid = eps_grid(wall, xi1, xi_top) if isinstance(wall, TabulatedKK) else None
         eps_l = eps_iw(wall, xis) if grid is None else grid(xis)
-        terms, nodes, _ = _matsubara_integral_block(eps_l[at], zeta, tol.quad_rel_tol)
-    terms *= alpha_iw(atom, xis)[at]
+        terms, nodes, _ = _matsubara_integral_block(eps_l, zeta, tol.quad_rel_tol)
+    terms *= alpha_iw(atom, xis)
     thermal = np.bincount(owner, weights * terms, minlength=n)
+    evaluations = np.bincount(owner, minlength=n)
     max_nodes = np.zeros(n, dtype=int)
     np.maximum.at(max_nodes, owner, nodes)
-    l_top = np.zeros(n)   # the largest l each separation read
-    np.maximum.at(l_top, owner, ls)
 
     results = []
     for i, req in enumerate(requests):
         prefactor = K_B * T / (8.0 * req.a ** 3)
         result_f = -prefactor * float(bracket0 + thermal[i])
-        if isinstance(atom, TabulatedAlpha) and xi1 * l_top[i] > atom.xi[-1]:
+        # a tail starts above the table (_head_length); a plain sum reads up to its last term
+        if isinstance(atom, TabulatedAlpha) and (em[i] or xi1 * plain[i] > atom.xi[-1]):
             warnings[i].append("polarizability table extrapolated beyond its last row "
                                "(1/xi^2 tail)")
         results.append(FreeEnergyResult(
             free_energy=result_f,
             classical_term=-prefactor * bracket0,
             thermal_term=-prefactor * float(thermal[i]),
-            n_terms_used=int(planned[i]),
+            n_terms_used=int(evaluations[i]),
             max_quad_nodes=int(max_nodes[i]),
             normalized=result_f / casimir_polder_energy(alpha0, req.a),
             warnings=warnings[i],

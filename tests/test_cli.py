@@ -269,6 +269,7 @@ def _metal_wall(tmp_path, **drude):
 
 
 _METAL = {"model": "tabulated", "file": "metal.nk", "kind": "metal"}
+_BAD_ENTRY = "entries[1]: oscillator frequency and strength must be finite and positive"
 
 
 class TestExitCodes:
@@ -310,11 +311,27 @@ class TestExitCodes:
         ({"wall": {"model": "nope"}}, "wall model tag"),
         ({"atom": {"model": "oscillators", "entries": []}}, "at least one"),
         ({"wall": dict(_METAL, kind="semimetal")}, "material kind"),
+        ({"atom": {"model": "oscillators", "entries": [[1.2, 0.3], [-2.5, 0.7]]}}, _BAD_ENTRY),
+        ({"atom": {"model": "oscillators", "entries": [[1.2, 0.3], [2.5, 0.0]]}}, _BAD_ENTRY),
+        ({"atom": {"model": "oscillators", "entries": [[1.2, 0.3], [2.5, math.nan]]}},
+         _BAD_ENTRY),
+        ({"atom": {"model": "static"}}, "static atom needs alpha0_au or alpha0_m3"),
+        ({"wall": {"model": "plasma"}}, "plasma wall needs omega_p_eV or omega_p_rad_s"),
+        ({"wall": {"model": "static"}}, "static wall needs eps0"),
+        ({"wall": {"model": "ninham_parsegian"}}, "ninham_parsegian wall needs 'terms'"),
+        ({"wall": {"model": "tabulated", "file": "metal.nk"}},
+         "tabulated wall needs 'file' and 'kind'"),
+        ({"atom": {"model": "tabulated_alpha"}}, "tabulated_alpha atom needs 'file'"),
+        ({"atom": {"model": "oscillators"}}, "oscillators atom needs 'file' or 'entries'"),
     ], ids=["inf_eps0", "nan_temperature", "inf_temperature", "nan_omega_p",
             "nan_np_term", "nan_drude_omega_p", "nan_high_exponent", "series_rel_tol_below_floor",
             "inf_max_terms", "inf_separation", "inf_grid_xi_max",
             "kk_rel_tol_above_range", "unknown_atom_tag", "unknown_wall_tag",
-            "empty_oscillator_entries", "unknown_material_kind"])
+            "empty_oscillator_entries", "unknown_material_kind", "negative_entry_omega",
+            "zero_entry_f", "nan_entry_f", "static_atom_without_alpha0",
+            "plasma_wall_without_omega_p", "static_wall_without_eps0", "ninham_parsegian_without_terms",
+            "tabulated_wall_without_kind", "tabulated_alpha_without_file",
+            "oscillators_without_file_or_entries"])
     def test_invalid_value_exits_3_naming_the_config(self, tmp_path, case, message):
         _metal_wall(tmp_path)  # writes the metal.nk that the _METAL cases read
         cfg = write_config(tmp_path, base_config(**case))
