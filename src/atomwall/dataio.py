@@ -10,7 +10,7 @@ whitespace- or comma-separated columns:
     polarizability:     xi_eV      alpha_au    -> TabulatedAlpha
 
 Each model checks its own rows; a row it rejects is reported here as
-``file:line:``.
+``file:line:``, or as ``entries[i]:`` for a config's inline oscillators.
 
 Run configurations are JSON; see the README for the full schema and an
 annotated example.
