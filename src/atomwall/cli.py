@@ -42,12 +42,28 @@ def _fmt(value) -> str:
     return format(float(value), ".10g")
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(value) -> str:
+    """``value`` as ``json.dumps`` writes it: float.__repr__ (numpy float64 too) or int.__repr__."""
+    text = float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
 def _emit(config: RunConfig, stream, fmt: str, columns, rows) -> None:
-    """Write ``rows`` under ``columns`` as JSON, or as CSV after the digest comment."""
+    """Write ``rows`` under ``columns`` as JSON, or as CSV after the digest comment.
+
+    The JSON is the bytes of ``json.dumps({"config_sha256": ..., "rows": [...]},
+    sort_keys=True, indent=2)``, filled in row by row without its pure-Python encoder.
+    """
     if fmt == "json":
-        text = json.dumps({"config_sha256": config.digest,
-                           "rows": [dict(zip(columns, row)) for row in rows]},
-                          sort_keys=True, indent=2)
+        keys = [f"      {json.dumps(name)}: " for name in columns]
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        body = ",\n".join("    {\n" + ",\n".join(keys[i] + _json_number(row[i]) for i in order)
+                          + "\n    }" for row in rows)
+        text = (f'{{\n  "config_sha256": {json.dumps(config.digest)},\n  "rows": '
+                + (f"[\n{body}\n  ]" if rows else "[]") + "\n}")
     else:
         text = "\n".join([f"# config_sha256={config.digest}", ",".join(columns),
                           *(",".join(map(_fmt, row)) for row in rows)])

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import AU_POLARIZABILITY, EV_TO_RAD_PER_S, au_volume_to_si, ev_to_angular
+from .constants import AU_POLARIZABILITY, EV_TO_RAD_PER_S
 from .dielectric import (
     DrudeLowFreq,
     IdealMetal,
@@ -181,7 +181,7 @@ def _build_atom(spec: dict, base: Path):
     model = spec["model"]
     if model == "static":
         if "alpha0_au" in spec:
-            return StaticAlpha(au_volume_to_si(float(spec["alpha0_au"])))
+            return StaticAlpha(float(spec["alpha0_au"]) * AU_POLARIZABILITY)
         if "alpha0_m3" in spec:
             return StaticAlpha(float(spec["alpha0_m3"]))
         raise ConfigError("static atom needs alpha0_au or alpha0_m3")
@@ -210,7 +210,7 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
         return IdealMetal()
     if model == "plasma":
         if "omega_p_eV" in spec:
-            return Plasma(ev_to_angular(float(spec["omega_p_eV"])))
+            return Plasma(float(spec["omega_p_eV"]) * EV_TO_RAD_PER_S)
         if "omega_p_rad_s" in spec:
             return Plasma(float(spec["omega_p_rad_s"]))
         raise ConfigError("plasma wall needs omega_p_eV or omega_p_rad_s")
@@ -222,15 +222,15 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
         terms = spec.get("terms")
         if not terms:
             raise ConfigError("ninham_parsegian wall needs 'terms' ([C_j, omega_j_eV] pairs)")
-        return NinhamParsegian(tuple((float(c), ev_to_angular(float(w))) for c, w in terms))
+        return NinhamParsegian(tuple((float(c), float(w) * EV_TO_RAD_PER_S) for c, w in terms))
     if model == "tabulated":
         if "file" not in spec or "kind" not in spec:
             raise ConfigError("tabulated wall needs 'file' and 'kind' (metal | dielectric)")
         drude = None
         if "drude" in spec:
             d = spec["drude"]
-            drude = DrudeLowFreq(omega_p=ev_to_angular(float(d["omega_p_eV"])),
-                                 nu=ev_to_angular(float(d["nu_eV"])))
+            drude = DrudeLowFreq(omega_p=float(d["omega_p_eV"]) * EV_TO_RAD_PER_S,
+                                 nu=float(d["nu_eV"]) * EV_TO_RAD_PER_S)
         high_exponent = float(spec.get("high_exponent", 3.0))
         # built inside the reader: a fault of the table's rows names the table, not the config
         return _read_model(_resolve(base, spec), 3, lambda energy, n, k: TabulatedKK(
@@ -346,8 +346,8 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
         grid_spec = doc["grid"]
         try:
             grid = GridSpec(
-                xi_min=ev_to_angular(float(grid_spec["xi_min_eV"])),
-                xi_max=ev_to_angular(float(grid_spec["xi_max_eV"])),
+                xi_min=float(grid_spec["xi_min_eV"]) * EV_TO_RAD_PER_S,
+                xi_max=float(grid_spec["xi_max_eV"]) * EV_TO_RAD_PER_S,
                 points=int(grid_spec.get("points", 200)),
             )
         except KeyError as err:

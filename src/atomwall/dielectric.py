@@ -360,8 +360,11 @@ class NinhamParsegian:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("at least one (C_j, omega_j) term required")
-        if not all(0.0 < c < math.inf and 0.0 < w < math.inf for c, w in terms):
-            raise DomainError("Ninham-Parsegian terms must have finite C_j > 0, omega_j > 0")
+        bad = [j for j, (c, w) in enumerate(terms)
+               if not (0.0 < c < math.inf and 0.0 < w < math.inf)]
+        if bad:
+            raise DomainError(f"terms[{bad[0]}]: Ninham-Parsegian terms must have finite C_j > 0, "
+                              "omega_j > 0")
 
 
 @dataclass(frozen=True, eq=False)

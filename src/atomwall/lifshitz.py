@@ -18,7 +18,8 @@ successive estimates agree; an ideal-metal wall instead uses the closed form
 int_zeta^inf 2 y^2 e^{-y} dy = 2 e^{-zeta} (zeta^2 + 2 zeta + 2).
 
 zeta_1 spans several orders of magnitude over the supported separations, so
-a plain sum up to zeta_l = 60 takes from a few terms to tens of thousands.
+a plain sum up to the cutoff zeta_end (28 at the default series_rel_tol, 38
+at its floor; ``_plan_sizes``) takes from a few terms to tens of thousands.
 Where that is more than the alternative, the terms l < L are summed one by
 one and the rest by Euler-Maclaurin (as for Lifshitz sums in Bordag,
 Klimchitskaya, Mohideen and Mostepanenko, *Advances in the Casimir Effect*,
@@ -50,17 +51,14 @@ _QUAD_CAP = 512
 _QUAD_TOL_FLOOR = 1e-13     # tightest quad_rel_tol: met against a reference good to 1e-14
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
 _SERIES_TOL_FLOOR = 1e-13   # tightest series_rel_tol: at 1e-14 rounding leaves 6e-14 of the sum
-_ZETA_MAX = 60.0   # terms past zeta_l = 60 carry e^-60 of the sum: a plain sum stops there
-_HEAD = 64         # terms summed one by one before the tail at series_rel_tol 1e-11
+_ZETA_MAX = 60.0   # the reach of a tabulated wall's grid (_sum_grid_span) at every tolerance
 _TAIL_ORDER = 16   # Gauss-Legendre nodes per panel of the tail integral, in ln l
-_MIDDLE_NODES = 33     # Chebyshev-Lobatto nodes per panel of the middle's interpolant, in ln l
 _MIDDLE_RATIO = 30.0   # the widest middle panel, as the ratio of its ends
 _MIDDLE_CHUNK = 2048   # middle terms per interpolation matrix, to bound its memory
-# f(L + s) at these shifts s gives f(L)/2 - f'(L)/12 + f'''(L)/720, with
-# f' = (8 d1 - d2)/6 and f''' = 4 (d2 - 2 d1) from the central differences
-# d1 = f(L + 1/2) - f(L - 1/2) and d2 = f(L + 1) - f(L - 1)
-_STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-_STENCIL_WEIGHTS = np.array([-7.0 / 360.0, 11.0 / 90.0, 0.5, -11.0 / 90.0, 7.0 / 360.0])
+# f(L + s) at these shifts s gives f(L)/2 - f'(L)/12 + f'''(L)/720 - f^(5)(L)/30240,
+# exactly for every polynomial of degree <= 6
+_STENCIL = np.arange(-1.5, 2.0, 0.5)
+_STENCIL_WEIGHTS = np.array([71.0, -578.0, 2203.0, 7560.0, -2203.0, 578.0, -71.0]) / 15120.0
 
 
 @dataclass(frozen=True)
@@ -303,43 +301,59 @@ def casimir_polder_energy(alpha0: float, a: float) -> float:
 def _sum_grid_span(T: float):
     """[xi_1, xi at zeta = _ZETA_MAX and 1 nm], where a sum at T reads a tabulated wall.
 
-    A sum reads up to about zeta = _ZETA_MAX at its separation, so the span
-    depends on T alone; frequencies above it go through the direct transform.
+    A sum reads up to zeta_end <= _ZETA_MAX at its separation; the span stays at
+    _ZETA_MAX, so it depends on T alone and the wall's interpolant on no tolerance.
+    Frequencies above it go through the direct transform.
     """
     xi1 = 2.0 * math.pi * K_B * T / HBAR
     return xi1, _ZETA_MAX * C_LIGHT / (2.0 * HARD_RANGE[0])
 
 
-def _head_length(atom, series_rel_tol: float, xi1: float):
-    """(L, top): the terms l < L are summed one by one, the terms l >= top as a tail.
+def _plan_sizes(atom, series_rel_tol: float, xi1: float):
+    """(L, top, zeta_end, panels, nodes): how far and how finely a sum at series_rel_tol reads.
 
-    The tail's error falls faster than L^-5, so L = 64 (1e-11/series_rel_tol)^(1/5):
-    26 at 1e-9 and 64 at 1e-11.  With the tail panels of ``free_energy_batch``,
-    from 4 K to 3 000 K and 1 nm to 10 um the error stays within 0.7
-    series_rel_tol, down to L = 2, the floor at which the stencil point L - 1
-    is still a Matsubara term.  A tabulated alpha is only C^1 (PCHIP) up to
-    its last row and kinked there, so its tail starts above the table, at
-    top, and its middle L <= l < top is a product sum (``_middle_rows``);
-    otherwise top = L.
+    The terms l < L are summed one by one and the terms l >= top as a tail,
+    int_top^{zeta_end/tau} f(l) dl on ``panels`` Gauss-Legendre panels plus the
+    end corrections of ``_STENCIL`` (``_tail_points``).  A plain sum stops at
+    zeta_l = zeta_end.  A tabulated alpha is only C^1 (PCHIP) up to its last
+    row and kinked there, so its tail starts above the table, at top, and its
+    middle L <= l < top is a product sum over panels of ``nodes``
+    Chebyshev-Lobatto points (``_middle_rows``); otherwise top = L.
+
+    Each size follows series_rel_tol, from one scan of 0.5 to 1e-13 against a
+    plain sum to zeta = 60 (six walls, five atoms, 4 K to 3 000 K, 1 nm to
+    100 um): the tail's error is at most 0.0132/L^7 of F, and L makes it half
+    of series_rel_tol, down to L = 3, which keeps the stencil point L - 3/2 at
+    a Matsubara term; zeta_end leaves a tenth of it to the remainder past the
+    cutoff, largest on an ideal metal with a static atom, e^-z (z^2 + 4z + 6)/6
+    of F; 3 panels hold down to 1e-10 and leave 1.8 series_rel_tol at 1e-11,
+    where 4 take over; the middle's interpolation gains a digit per 2.5 nodes,
+    and fewer than 9 miss 1e-3.
     """
-    L = max(2, math.ceil(_HEAD * (1e-11 / series_rel_tol) ** 0.2))
+    L = max(3, math.ceil((0.0264 / series_rel_tol) ** (1.0 / 7.0)))
+    zeta_end = _ZETA_MAX
+    for _ in range(4):   # the fixed point of e^-z (z^2 + 4z + 6)/6 = series_rel_tol/10
+        zeta_end = min(_ZETA_MAX, math.log((zeta_end * (zeta_end + 4.0) + 6.0)
+                                           / (0.6 * series_rel_tol)))
+    panels = 3 if series_rel_tol >= 1e-10 else 4
+    nodes = max(9, math.ceil(-2.5 * math.log10(series_rel_tol)))
     if isinstance(atom, TabulatedAlpha):
-        return L, max(L, math.ceil(atom.xi[-1] / xi1) + 2)
-    return L, L
+        return L, max(L, math.ceil(atom.xi[-1] / xi1) + 2), zeta_end, panels, nodes
+    return L, L, zeta_end, panels, nodes
 
 
 @lru_cache(maxsize=32)
-def _lobatto_matrix(start: int, top: int, first: int, stop: int):
+def _lobatto_matrix(nodes: int, start: int, top: int, first: int, stop: int):
     """(l_k, B) with g(l) ~ sum_k B[k, l - first] g(l_k) at the integers first <= l < stop.
 
-    l_k are _MIDDLE_NODES Chebyshev-Lobatto points in ln l of [start, top], and
+    l_k are ``nodes`` Chebyshev-Lobatto points in ln l of [start, top], and
     B is the polynomial through them in barycentric form (Berrut and Trefethen,
     SIAM Rev. 46, 501 (2004)).  Cached as the Gauss rules are.
     """
     lo, hi = math.log(start), math.log(top)
-    l_k = np.exp(0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0, np.pi, _MIDDLE_NODES)))
+    l_k = np.exp(0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0, np.pi, nodes)))
     l_k[0], l_k[-1] = start, top
-    w = (-1.0) ** np.arange(_MIDDLE_NODES) * np.r_[0.5, np.ones(_MIDDLE_NODES - 2), 0.5]
+    w = (-1.0) ** np.arange(nodes) * np.r_[0.5, np.ones(nodes - 2), 0.5]
     d = np.log(np.arange(first, stop)) - np.log(l_k)[:, None]
     b = w[:, None] / np.where(d == 0.0, 1e-300, d)   # a term on a node takes that node's value
     b /= b.sum(axis=0)
@@ -347,44 +361,43 @@ def _lobatto_matrix(start: int, top: int, first: int, stop: int):
     return l_k, b
 
 
-def _middle_rows(tau: float, L: int, end: int, panels: int, alpha):
+def _middle_rows(tau: float, L: int, end: int, panels: int, nodes: int, alpha):
     """(l_k, W_k) with sum_{L<=l<=end} alpha(l) g(l) ~ sum_k W_k g(l_k); alpha[l - L] = alpha(l).
 
     On ``panels`` panels of equal width in ln l, which share their edge nodes, g(l) e^{tau l}
-    is read from its nodes (``_lobatto_matrix``) and alpha is summed term by term, W_k =
-    e^{tau l_k} sum_l alpha(l) e^{-tau l} B_kl, in blocks whose order depends on the panel alone.
+    is read from its ``nodes`` nodes (``_lobatto_matrix``) and alpha is summed term by term,
+    W_k = e^{tau l_k} sum_l alpha(l) e^{-tau l} B_kl, in blocks whose order depends on the
+    panel alone.  ``_plan_sizes`` sizes ``nodes`` to series_rel_tol.
     """
     edges = [L, *(round(L * (end / L) ** (p / panels)) for p in range(1, panels)), end]
-    l_k, w_k = np.zeros((2, (_MIDDLE_NODES - 1) * panels + 1))
+    l_k, w_k = np.zeros((2, (nodes - 1) * panels + 1))
     for k, (start, top) in enumerate(zip(edges[:-1], edges[1:])):
         stop = top + 1 if top == end else top   # the next panel starts at top
-        total = np.zeros(_MIDDLE_NODES)
+        total = np.zeros(nodes)
         for first in range(start, stop, _MIDDLE_CHUNK):
             last = min(first + _MIDDLE_CHUNK, stop)
-            nodes, b = _lobatto_matrix(start, top, first, last)
+            panel_l, b = _lobatto_matrix(nodes, start, top, first, last)
             # einsum sums each row alone up to 8 192 columns (see _integrate_chunk)
             v = alpha[first - L:last - L] * np.exp(-tau * np.arange(first, last))
             total += np.einsum("kl,l->k", b, v)
-        at = slice(k * (_MIDDLE_NODES - 1), (k + 1) * (_MIDDLE_NODES - 1) + 1)
-        l_k[at] = nodes
-        w_k[at] += np.exp(tau * nodes) * total
+        at = slice(k * (nodes - 1), (k + 1) * (nodes - 1) + 1)
+        l_k[at] = panel_l
+        w_k[at] += np.exp(tau * panel_l) * total
     return l_k, w_k
 
 
-def _tail_points(tau, L: int, panels: int):
+def _tail_points(tau, L: int, zeta_end: float, panels: int):
     """(l, weight) rows per separation with sum_{l >= L} f(l) ~ sum weight * f(l).
 
     f(l) is the term at the continuous frequency xi_1 l, and the sum is
-    int_L^inf f(l) dl + f(L)/2 - f'(L)/12 + f'''(L)/720 (Euler-Maclaurin).
-    The integral runs up to zeta = tau l = _ZETA_MAX over ``panels``
-    Gauss-Legendre panels of _TAIL_ORDER nodes and equal width in ln l; the
-    end corrections come from f at L + _STENCIL.  Against a plain sum from 4 K
-    to 3 000 K and 1 nm to 10 um the error stays within 0.7 series_rel_tol
-    (0.68 at 1e-10: ideal metal, static atom, 30 K, 1 nm), with 3 panels down
-    to 1e-10 (1.5 at 1e-11) and 4 down to 1e-13.
+    int_L^inf f(l) dl + f(L)/2 - f'(L)/12 + f'''(L)/720 - f^(5)(L)/30240
+    (Euler-Maclaurin).  The integral runs up to zeta = tau l = zeta_end over
+    ``panels`` Gauss-Legendre panels of _TAIL_ORDER nodes and equal width in
+    ln l; the end corrections come from f at L + _STENCIL.  ``_plan_sizes``
+    sizes L, zeta_end and panels to series_rel_tol.
     """
     x, w = gauss_legendre(_TAIL_ORDER)
-    edges = np.linspace(math.log(L), np.log(_ZETA_MAX / tau), panels + 1, axis=-1)
+    edges = np.linspace(math.log(L), np.log(zeta_end / tau), panels + 1, axis=-1)
     half = 0.5 * np.diff(edges)[:, :, None]
     nodes = np.exp(edges[:, :-1, None] + half * (x + 1.0))
     shape = (tau.size, _STENCIL.size)
@@ -400,9 +413,9 @@ def free_energy_batch(requests) -> list:
     The l = 0 term always uses f(0) with the metal/dielectric distinction
     (metal permittivities diverge at zero frequency, so eps(i xi) is never
     queried there).  The terms l >= 1 of every separation are planned before
-    any is evaluated: a plain sum up to zeta_l = _ZETA_MAX when that is no
+    any is evaluated: a plain sum up to zeta_l = zeta_end when that is no
     longer than the alternative, otherwise the terms l < top one by one and
-    the rest as an Euler-Maclaurin tail (``_head_length``, ``_tail_points``).
+    the rest as an Euler-Maclaurin tail (``_plan_sizes``, ``_tail_points``).
     The terms L <= l < top of a tabulated alpha, its middle, are a product
     sum wherever that takes fewer rows (``_middle_rows``).  eps(i xi) and
     alpha(i xi) are read once per row, in plan order, every per-frequency
@@ -433,9 +446,8 @@ def free_energy_batch(requests) -> list:
     n = len(requests)
     tau = matsubara_zeta(1, np.array([r.a for r in requests]), T)
     xi1, xi_top = _sum_grid_span(T)
-    L, top = _head_length(atom, tol.series_rel_tol, xi1)
-    panels = 3 if tol.series_rel_tol >= 1e-10 else 4   # of the tail: see _tail_points
-    plain = np.ceil(_ZETA_MAX / tau).astype(int)
+    L, top, zeta_end, panels, middle_nodes = _plan_sizes(atom, tol.series_rel_tol, xi1)
+    plain = np.ceil(zeta_end / tau).astype(int)
     em_cost = top - 1 + _STENCIL.size + panels * _TAIL_ORDER
     em = plain > em_cost
     planned = np.where(em, em_cost, plain)
@@ -443,7 +455,7 @@ def free_energy_batch(requests) -> list:
     nodes = np.zeros(n, dtype=int)
     if top > L:   # a tabulated alpha: a middle wherever its panels take fewer rows than its terms
         middle = np.ceil(np.log(np.maximum(head, L + 1) / L) / math.log(_MIDDLE_RATIO)).astype(int)
-        nodes = (_MIDDLE_NODES - 1) * middle + 1
+        nodes = (middle_nodes - 1) * middle + 1
         nodes[head - L + 1 <= nodes] = 0
     over = planned + nodes > tol.max_terms   # every row and alpha read, before any is made
     if over.any():
@@ -458,11 +470,12 @@ def free_energy_batch(requests) -> list:
     if mids.size:
         alpha_l = alpha_iw(atom, xi1 * np.arange(L, int(exact[mids].max()) + 1))
         l_k, w_k = (np.concatenate(v) for v in zip(*(
-            _middle_rows(tau[i], L, int(exact[i]), int(middle[i]), alpha_l) for i in mids)))
+            _middle_rows(tau[i], L, int(exact[i]), int(middle[i]), middle_nodes, alpha_l)
+            for i in mids)))
         # a node's row is multiplied by alpha(l_k) below, as every row is
         parts.append((np.repeat(mids, nodes[mids]), l_k, w_k / alpha_iw(atom, xi1 * l_k)))
     if em.any():
-        tail_l, tail_w = _tail_points(tau[em], top, panels)
+        tail_l, tail_w = _tail_points(tau[em], top, zeta_end, panels)
         parts.append((np.repeat(np.nonzero(em)[0], tail_l.shape[1]), tail_l.ravel(),
                       tail_w.ravel()))
     owner, ls, weights = (np.concatenate(v) for v in zip(*parts))
@@ -485,7 +498,7 @@ def free_energy_batch(requests) -> list:
     for i, req in enumerate(requests):
         prefactor = K_B * T / (8.0 * req.a ** 3)
         result_f = -prefactor * float(bracket0 + thermal[i])
-        # a tail starts above the table (_head_length); a plain sum reads up to its last term
+        # a tail starts above the table (_plan_sizes); a plain sum reads up to its last term
         if isinstance(atom, TabulatedAlpha) and (em[i] or xi1 * plain[i] > atom.xi[-1]):
             warnings[i].append("polarizability table extrapolated beyond its last row "
                                "(1/xi^2 tail)")

@@ -1,12 +1,16 @@
 """End-to-end checks of the command-line surface via subprocess."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomwall import ev_to_angular
 
@@ -323,6 +327,16 @@ class TestExitCodes:
          "tabulated wall needs 'file' and 'kind'"),
         ({"atom": {"model": "tabulated_alpha"}}, "tabulated_alpha atom needs 'file'"),
         ({"atom": {"model": "oscillators"}}, "oscillators atom needs 'file' or 'entries'"),
+        # a negative eV or au value reaches the model that holds it, which names its rule
+        ({"wall": {"model": "plasma", "omega_p_eV": -9.0}},
+         "plasma frequency must be finite and positive"),
+        ({"wall": {"model": "ninham_parsegian", "terms": [[1.93, 0.13], [0.91, -12.5]]}},
+         "terms[1]: Ninham-Parsegian terms must have finite C_j > 0, omega_j > 0"),
+        ({"wall": dict(_METAL, drude={"omega_p_eV": 9.0, "nu_eV": -0.035})},
+         "Drude completion requires finite positive omega_p and nu"),
+        ({"atom": {"model": "static", "alpha0_au": -315.63}},
+         "alpha0 must be finite and non-negative"),
+        ({"grid": {"xi_min_eV": -0.1, "xi_max_eV": 10.0}}, "grid needs 0 < xi_min"),
     ], ids=["inf_eps0", "nan_temperature", "inf_temperature", "nan_omega_p",
             "nan_np_term", "nan_drude_omega_p", "nan_high_exponent", "series_rel_tol_below_floor",
             "inf_max_terms", "inf_separation", "inf_grid_xi_max",
@@ -331,7 +345,8 @@ class TestExitCodes:
             "zero_entry_f", "nan_entry_f", "static_atom_without_alpha0",
             "plasma_wall_without_omega_p", "static_wall_without_eps0", "ninham_parsegian_without_terms",
             "tabulated_wall_without_kind", "tabulated_alpha_without_file",
-            "oscillators_without_file_or_entries"])
+            "oscillators_without_file_or_entries", "negative_omega_p", "negative_np_term_omega",
+            "negative_drude_nu", "negative_alpha0", "negative_grid_xi_min"])
     def test_invalid_value_exits_3_naming_the_config(self, tmp_path, case, message):
         _metal_wall(tmp_path)  # writes the metal.nk that the _METAL cases read
         cfg = write_config(tmp_path, base_config(**case))
@@ -463,3 +478,28 @@ def test_handlers_call_module_globals_at_call_time(tmp_path, monkeypatch, comman
                                   "grid": {"xi_min_eV": 0.9, "xi_max_eV": 9.0, "points": 7}})
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+_JSON_NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                          st.floats(),   # -0.0, nan, +-inf, subnormal and huge exponents
+                          st.floats().map(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True),
+       data=st.data())
+@example(columns=["b", "a", "n_terms"], data=None)
+def test_json_output_is_the_bytes_of_json_dumps(columns, data):
+    from atomwall import cli
+
+    if data is None:
+        rows = [(-0.0, math.nan, 7), (math.inf, -math.inf, 0),
+                (np.float64(1e-310), np.float64(-1.7e308), -12), (5e-324, 1e22, 10 ** 19)]
+    else:
+        rows = data.draw(st.lists(st.tuples(*[_JSON_NUMBERS] * len(columns)), max_size=5))
+    stream = io.StringIO()
+    cli._emit(SimpleNamespace(digest="0" * 64), stream, "json", tuple(columns), rows)
+    expected = json.dumps({"config_sha256": "0" * 64,
+                           "rows": [dict(zip(columns, row)) for row in rows]},
+                          sort_keys=True, indent=2)
+    assert stream.getvalue() == expected + "\n"

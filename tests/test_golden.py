@@ -48,49 +48,49 @@ ATOMS = {
 
 # (wall, atom, a [m]) at 300 K: (free_energy.hex(), n_terms_used, max_quad_nodes)
 GOLDEN = {
-    ('plasma', 'static', 3e-09): ('-0x1.e0268977563abp-73', 78, 64),
-    ('plasma', 'static', 4e-08): ('-0x1.7b89986a55a8ep-85', 78, 64),
-    ('plasma', 'static', 1e-06): ('-0x1.b9d1717842157p-103', 37, 32),
-    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 4, 32),
-    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa0386adp-75', 78, 64),
-    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b367727bp-87', 78, 64),
-    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bdd5ep-103', 37, 32),
-    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 4, 32),
-    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c3ab82p-73', 78, 128),
-    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a6e39fp-86', 78, 128),
-    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c38f4dp-104', 37, 32),
-    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 4, 32),
-    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d49af81p-77', 78, 128),
-    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf80ce27p-88', 78, 128),
-    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1f83bp-104', 37, 32),
-    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 4, 32),
-    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697add24fp-69', 78, 0),
-    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12fa3d23p-84', 78, 0),
-    ('ideal_metal', 'static', 1e-06): ('-0x1.c930d48f86ccbp-103', 37, 0),
-    ('ideal_metal', 'static', 1e-05): ('-0x1.0182b6420f517p-114', 4, 0),
-    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7d7d91ep-75', 78, 0),
-    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ccba6p-86', 78, 0),
-    ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a52d8dp-103', 37, 0),
-    ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 4, 0),
-    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc8ffdp-73', 78, 64),
-    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b942c9cp-85', 78, 64),
-    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe18895ce57p-103', 37, 32),
-    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 4, 32),
-    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d314f9p-75', 78, 64),
-    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52676c0p-87', 78, 64),
-    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e637145p-103', 37, 32),
-    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 4, 32),
+    ('plasma', 'static', 3e-09): ('-0x1.e026897754507p-73', 66, 64),
+    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b950p-85', 66, 64),
+    ('plasma', 'static', 1e-06): ('-0x1.b9d1717838a81p-103', 18, 32),
+    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 2, 32),
+    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa05e7b7p-75', 66, 64),
+    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b36c44b9p-87', 66, 64),
+    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bca8cp-103', 18, 32),
+    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 2, 32),
+    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c3c691p-73', 66, 128),
+    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a6cde2p-86', 66, 128),
+    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c33339p-104', 18, 32),
+    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 2, 32),
+    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d4e39adp-77', 66, 128),
+    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf84f0a9p-88', 66, 128),
+    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1ecc1p-104', 18, 32),
+    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 2, 32),
+    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697a4fc55p-69', 66, 0),
+    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12f128f6p-84', 66, 0),
+    ('ideal_metal', 'static', 1e-06): ('-0x1.c930d48f74318p-103', 18, 0),
+    ('ideal_metal', 'static', 1e-05): ('-0x1.0182b6420f517p-114', 2, 0),
+    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7da204cp-75', 66, 0),
+    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ec778p-86', 66, 0),
+    ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a50871p-103', 18, 0),
+    ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 2, 0),
+    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc7161p-73', 66, 64),
+    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928e51p-85', 66, 64),
+    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe1889537d7p-103', 18, 32),
+    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 2, 32),
+    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d57670p-75', 66, 64),
+    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52b48adp-87', 66, 64),
+    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e635e7dp-103', 18, 32),
+    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 2, 32),
 }
 
 # (subcommand, bundled config, format): sha256 of the output file
 CLI_GOLDEN = {
     ("alpha", "alpha_oscillators.json", "csv"): "3c89a8a31e81f398a6f7b359f19a178131b7dde759ed879db5fc3b13173011b6",
     ("alpha", "alpha_oscillators.json", "json"): "c96dd20cad84f6a32987d52081f7b04c6dec18859e66e4a2463687c7cd39a32b",
-    ("energy", "energy_plasma_static.json", "csv"): "e3b581395a1fcb045594a7ee3266ff116bf5d1c3959e3e6f2aec4847eb8df284",
+    ("energy", "energy_plasma_static.json", "csv"): "4deb8edad941686c5e170db7dc5021f692d9f8e193dce1f38de534e9b9cc893f",
     ("epsilon", "epsilon_ninham_parsegian.json", "csv"): "84b8f10b7f39a7319a4bd213f0340eefc6679a368f56ed519dae8fa9ab92e493",
     ("epsilon", "epsilon_ninham_parsegian.json", "json"): "c6db6e701930dc41df54865139827c3f11514ea31ccf1e4c6809f456d534d5b5",
-    ("sweep", "sweep_normalized.json", "csv"): "cef79e811eea4ae6bcaa5b9b52eafac5030747dbdaf52dea70512f2ce094bdb3",
-    ("sweep", "sweep_normalized.json", "json"): "c13c340b216502e40060a238f7ea4b2df929d5a6e6ddf1c8b50f076d050a1a75",
+    ("sweep", "sweep_normalized.json", "csv"): "0ef5c64d90b928c999b400667df1563494db71edfe45a456079c409c6afdb8b2",
+    ("sweep", "sweep_normalized.json", "json"): "a6b91e761ecfcb4cdacc3941b4555e654776763e21736f1138efc03f80c3166c",
 }
 # the bundled config that reads tables shipped apart from the repository
 NEEDS_DATA = {"table_au_vs_models.json"}
@@ -178,8 +178,8 @@ def _write_tabulated_configs(directory: Path):
 TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "6b3d35f70cebd02cf5b56bcd35b42d3b838a1aa10f3e853a5e833426187336d5",
-    ("table", "csv"): "34e5d4ad1cc80240095d35d2ff67bc0d47b3f7488ef319b1ad467cc59a56f770",
-    ("table", "json"): "ae2c2062cb1114086c13417bdbe1e5c485c0d9a50dfcc76678472594cd595861",
+    ("table", "csv"): "34550c24b89ef749611fd20754077de4c1cb887502cd0fa0411dce944a86c2a4",
+    ("table", "json"): "358981d2099fcdb0f04062fc347be1438b47539417b5fe96f82df2cc809972c9",
 }
 
 

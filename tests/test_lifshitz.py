@@ -471,14 +471,14 @@ class TestFreeEnergy:
         atom = TabulatedAlpha(xi, alpha_iw(source, xi))
         res = free_energy(ComputationRequest(atom=atom, wall=Plasma(ev_to_angular(9.0)),
                                              a=1e-5, T=300.0))
-        # 4 terms reach 0.650 eV, below the table's last row at 1 eV
-        assert res.n_terms_used == 4
+        # 2 terms reach 0.325 eV, below the table's last row at 1 eV
+        assert res.n_terms_used == 2
         assert not any("extrapolated" in w for w in res.warnings)
 
     @pytest.mark.parametrize("a,top_eV,warns", [
-        (1e-5, 0.64, True), (1e-5, 0.66, False),   # 4 plain terms read up to 0.650 eV
-        (3e-9, 50.0, True),      # the tail above the table reads up to zeta = 60, 1.97 keV
-        (3e-9, 3000.0, False),   # a plain sum to zeta = 60 stays below this table's end
+        (1e-5, 0.32, True), (1e-5, 0.33, False),   # 2 plain terms read up to 0.325 eV
+        (3e-9, 50.0, True),      # the tail above the table reads up to zeta = 28, 0.92 keV
+        (3e-9, 3000.0, False),   # a plain sum to zeta = 28 stays below this table's end
     ])
     def test_tabulated_alpha_warns_iff_the_sum_reads_above_table(self, monkeypatch, a,
                                                                  top_eV, warns):
@@ -516,16 +516,18 @@ class TestFreeEnergy:
         with pytest.raises(DomainError):
             NumericalTolerances(quad_rel_tol=1e-14)
         tol = NumericalTolerances(quad_rel_tol=1e-13)
-        # at 1 nm the sum reads eps - 1 down to 7e-11, 1e-7 and 2e-6 on these walls
+        # at 1 nm the sum reads eps - 1 down to 3e-10, 5e-7 and 1e-5 on these walls
+        # (zeta = 28), and a tabulated wall's grid down to 7e-11, 1e-7 and 2e-6 (zeta = 60)
         for omega_p_eV in (0.05, 2.0, 9.0):
-            res = free_energy(ComputationRequest(atom=helium_like_atom,
-                                                 wall=Plasma(ev_to_angular(omega_p_eV)),
+            wall = Plasma(ev_to_angular(omega_p_eV))
+            res = free_energy(ComputationRequest(atom=helium_like_atom, wall=wall,
                                                  a=1e-9, T=300.0, tol=tol))
             assert res.free_energy < 0.0
+            assert matsubara_integral(eps_iw(wall, 60.0 * C_LIGHT / 2e-9), 60.0, 1e-13) > 0.0
 
     @pytest.mark.parametrize("omega_p_eV,quad_rel_tol", [(0.2, 1e-9), (2.0, 1e-11)])
     def test_weak_plasma_wall_at_1nm(self, helium_like_atom, omega_p_eV, quad_rel_tol):
-        # eps - 1 falls to 1e-9 (0.2 eV) and 1e-7 (2 eV) at zeta = 60
+        # eps - 1 falls to 5e-9 (0.2 eV) and 5e-7 (2 eV) at zeta = 28
         def f(quad_rel_tol):
             tol = NumericalTolerances(quad_rel_tol=quad_rel_tol)
             return free_energy(ComputationRequest(atom=helium_like_atom,
@@ -535,8 +537,8 @@ class TestFreeEnergy:
 
     def test_loosest_series_rel_tol_reads_no_term_below_one(self, monkeypatch,
                                                            helium_like_atom):
-        # series_rel_tol 0.5 asks for L = 1 by the fifth root; the floor keeps
-        # the stencil's L - 1 at a Matsubara term, where a metal's eps is finite
+        # series_rel_tol 0.5 asks for L = 1 by the seventh root; the floor keeps
+        # the stencil's L - 3/2 at a Matsubara term, where a metal's eps is finite
         read = []
 
         def recording(model, x):
@@ -664,6 +666,8 @@ _REF_WALLS = {
     "ideal_metal": IdealMetal(),
     "drude_table": TabulatedKK(make_drude_table(), METAL),
     "weak_plasma": Plasma(ev_to_angular(0.05)),
+    # f0 = 0.005: the remainder past the cutoff is compared with a small |F|
+    "dilute_static": StaticPermittivity(1.01),
 }
 _OSCILLATOR = OscillatorSet((0.5935,), (ev_to_angular(1.18),))
 
@@ -712,6 +716,14 @@ def _plain_sum_reference(wall_name, atom_name, a, T):
     return -CODATA.k_B * T / (8.0 * a ** 3) * bracket
 
 
+@pytest.mark.parametrize("degree", range(7))
+def test_stencil_is_the_euler_maclaurin_end_correction(degree):
+    # f(L)/2 - f'(L)/12 + f'''(L)/720 - f^(5)(L)/30240 of f(l) = (l - L)^degree
+    expected = {0: 0.5, 1: -1.0 / 12.0, 3: 6.0 / 720.0, 5: -120.0 / 30240.0}.get(degree, 0.0)
+    got = lifshitz._STENCIL_WEIGHTS @ lifshitz._STENCIL ** degree
+    assert got == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+
 class TestPlainSumReference:
     """The sum against every term up to zeta_l = 60, at the same quad_rel_tol."""
 
@@ -737,7 +749,7 @@ class TestPlainSumReference:
         assert res.n_terms_used <= 150
 
     def test_middle_panels_share_their_edge_rows(self, monkeypatch):
-        # at 4 K and 1 um the middle runs from 26 to 2 734 on two panels: 65 nodes, not 66
+        # at 4 K and 1 um the middle runs from 12 to 1 278 on two panels: 45 nodes, not 46
         from atomwall import lifshitz
 
         zetas, block = [], lifshitz._matsubara_integral_block
@@ -749,7 +761,7 @@ class TestPlainSumReference:
         monkeypatch.setattr(lifshitz, "_matsubara_integral_block", recording)
         res = free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"],
                                              wall=_REF_WALLS["plasma"], a=1e-6, T=4.0))
-        assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == 25 + 65
+        assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == 11 + 45
 
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
