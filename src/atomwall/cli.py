@@ -62,8 +62,7 @@ def _emit(config: RunConfig, stream, fmt: str, columns, rows) -> None:
         order = sorted(range(len(columns)), key=columns.__getitem__)
         body = ",\n".join("    {\n" + ",\n".join(keys[i] + _json_number(row[i]) for i in order)
                           + "\n    }" for row in rows)
-        text = (f'{{\n  "config_sha256": {json.dumps(config.digest)},\n  "rows": '
-                + (f"[\n{body}\n  ]" if rows else "[]") + "\n}")
+        text = f'{{\n  "config_sha256": {json.dumps(config.digest)},\n  "rows": [\n{body}\n  ]\n}}'
     else:
         text = "\n".join([f"# config_sha256={config.digest}", ",".join(columns),
                           *(",".join(map(_fmt, row)) for row in rows)])

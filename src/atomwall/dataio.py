@@ -10,7 +10,9 @@ whitespace- or comma-separated columns:
     polarizability:     xi_eV      alpha_au    -> TabulatedAlpha
 
 Each model checks its own rows; a row it rejects is reported here as
-``file:line:``, or as ``entries[i]:`` for a config's inline oscillators.
+``file:line:``, or as ``entries[i]:`` for a config's inline oscillators.  A
+config's eV and au values are converted by multiplication, so a negative one
+is checked by the model that holds it, as the readers' values are.
 
 Run configurations are JSON; see the README for the full schema and an
 annotated example.

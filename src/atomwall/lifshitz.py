@@ -326,15 +326,15 @@ def _plan_sizes(atom, series_rel_tol: float, xi1: float):
     of series_rel_tol, down to L = 3, which keeps the stencil point L - 3/2 at
     a Matsubara term; zeta_end leaves a tenth of it to the remainder past the
     cutoff, largest on an ideal metal with a static atom, e^-z (z^2 + 4z + 6)/6
-    of F; 3 panels hold down to 1e-10 and leave 1.8 series_rel_tol at 1e-11,
-    where 4 take over; the middle's interpolation gains a digit per 2.5 nodes,
-    and fewer than 9 miss 1e-3.
+    of F (zeta_end is 28 at 1e-9 and 38 at the floor); 3 panels hold down to
+    1e-10 and leave 1.8 series_rel_tol at 1e-11, where 4 take over; the
+    middle's interpolation gains a digit per 2.5 nodes, with at least 9, as 5
+    and 6 missed 1e-2 and 1e-3 on the tabulated atoms.
     """
     L = max(3, math.ceil((0.0264 / series_rel_tol) ** (1.0 / 7.0)))
-    zeta_end = _ZETA_MAX
-    for _ in range(4):   # the fixed point of e^-z (z^2 + 4z + 6)/6 = series_rel_tol/10
-        zeta_end = min(_ZETA_MAX, math.log((zeta_end * (zeta_end + 4.0) + 6.0)
-                                           / (0.6 * series_rel_tol)))
+    zeta_end = 60.0
+    for _ in range(4):   # toward the fixed point of e^-z (z^2 + 4z + 6)/6 = series_rel_tol/10
+        zeta_end = math.log((zeta_end * (zeta_end + 4.0) + 6.0) / (0.6 * series_rel_tol))
     panels = 3 if series_rel_tol >= 1e-10 else 4
     nodes = max(9, math.ceil(-2.5 * math.log10(series_rel_tol)))
     if isinstance(atom, TabulatedAlpha):

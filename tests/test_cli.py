@@ -496,7 +496,8 @@ def test_json_output_is_the_bytes_of_json_dumps(columns, data):
         rows = [(-0.0, math.nan, 7), (math.inf, -math.inf, 0),
                 (np.float64(1e-310), np.float64(-1.7e308), -12), (5e-324, 1e22, 10 ** 19)]
     else:
-        rows = data.draw(st.lists(st.tuples(*[_JSON_NUMBERS] * len(columns)), max_size=5))
+        rows = data.draw(st.lists(st.tuples(*[_JSON_NUMBERS] * len(columns)),
+                                  min_size=1, max_size=5))
     stream = io.StringIO()
     cli._emit(SimpleNamespace(digest="0" * 64), stream, "json", tuple(columns), rows)
     expected = json.dumps({"config_sha256": "0" * 64,
