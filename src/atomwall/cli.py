@@ -45,23 +45,29 @@ def _fmt(value) -> str:
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_number(value) -> str:
-    """``value`` as ``json.dumps`` writes it: float.__repr__ (numpy float64 too) or int.__repr__."""
-    text = float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
-    return _JSON_NON_FINITE.get(text, text)
+def _json_column(column) -> list:
+    """A column's values as ``json.dumps`` writes them: float.__repr__ or int.__repr__."""
+    try:
+        text = list(map(float.__repr__ if isinstance(column[0], float) else int.__repr__, column))
+    except TypeError:   # ints and floats in one column
+        text = [float.__repr__(v) if isinstance(v, float) else int.__repr__(v) for v in column]
+    if _JSON_NON_FINITE.keys().isdisjoint(text):
+        return text
+    return [_JSON_NON_FINITE.get(t, t) for t in text]
 
 
 def _emit(config: RunConfig, stream, fmt: str, columns, rows) -> None:
     """Write ``rows`` under ``columns`` as JSON, or as CSV after the digest comment.
 
     The JSON is the bytes of ``json.dumps({"config_sha256": ..., "rows": [...]},
-    sort_keys=True, indent=2)``, filled in row by row without its pure-Python encoder.
+    sort_keys=True, indent=2)``: one row template, filled without its pure-Python encoder.
     """
     if fmt == "json":
-        keys = [f"      {json.dumps(name)}: " for name in columns]
         order = sorted(range(len(columns)), key=columns.__getitem__)
-        body = ",\n".join("    {\n" + ",\n".join(keys[i] + _json_number(row[i]) for i in order)
-                          + "\n    }" for row in rows)
+        template = "    {\n" + ",\n".join(
+            f"      {json.dumps(columns[i]).replace('%', '%%')}: %s" for i in order) + "\n    }"
+        text_columns = [_json_column(column) for column in zip(*rows)]
+        body = ",\n".join(template % row for row in zip(*(text_columns[i] for i in order)))
         text = f'{{\n  "config_sha256": {json.dumps(config.digest)},\n  "rows": [\n{body}\n  ]\n}}'
     else:
         text = "\n".join([f"# config_sha256={config.digest}", ",".join(columns),

@@ -13,8 +13,9 @@ alpha carried as a volume (m^3) the braced sum is a volume and F is in
 joules; the result is negative (attractive) for every non-trivial input.
 
 The per-frequency integral is shifted to y = zeta + t and evaluated with
-exponentially weighted (Gauss-Laguerre) quadrature whose order doubles until
-successive estimates agree; an ideal-metal wall instead uses the closed form
+exponentially weighted (Gauss-Laguerre) quadrature, each rule paired with its
+anti-Gauss rule for an error estimate and doubled until that meets the
+tolerance; an ideal-metal wall instead uses the closed form
 int_zeta^inf 2 y^2 e^{-y} dy = 2 e^{-zeta} (zeta^2 + 2 zeta + 2).
 
 zeta_1 spans several orders of magnitude over the supported separations, so
@@ -46,8 +47,7 @@ from .quadrature import gauss_laguerre, gauss_legendre
 SOFT_RANGE = (3e-9, 1e-5)   # outside: warn
 HARD_RANGE = (1e-9, 1e-4)   # outside: reject
 
-_QUAD_START = 16   # the first order at quad_rel_tol >= 1e-11
-_QUAD_CAP = 512
+_QUAD_CAP = 512   # the largest Gauss order of a pair
 _QUAD_TOL_FLOOR = 1e-13     # tightest quad_rel_tol: met against a reference good to 1e-14
 _CHUNK = 512       # quadrature rows integrated together, sized to stay in cache
 _SERIES_TOL_FLOOR = 1e-13   # tightest series_rel_tol: at 1e-14 rounding leaves 6e-14 of the sum
@@ -200,86 +200,95 @@ def _integrand_rows(rows, y):
     return out
 
 
+def _quad_start(rel_tol: float) -> int:
+    """The Gauss order n of a row's first anti-Gauss pair at ``rel_tol``."""
+    return 8 if rel_tol >= 1e-8 else 12 if rel_tol >= 1e-10 else 16 if rel_tol >= 1e-11 else 24
+
+
 def _integrate_chunk(eps, zeta, rel_tol):
-    """Per-row order doubling for one chunk of rows; see _matsubara_integral_block."""
+    """Per-row anti-Gauss pairs for one chunk of rows; see _matsubara_integral_block."""
     width = zeta * np.sqrt(np.maximum(eps - 1.0, 0.0))
-    near = (width > 0.0) & ((zeta < 1.0) | (width < 0.5))
+    near = (width > 0.0) & ((zeta < 4.0) | (width < 0.5))
     split_at = np.where(near, np.clip(5.0 * zeta * np.sqrt(eps), 0.5, 2.0), 0.0)
     constants = _row_constants(eps, zeta)[:, :, None]   # once per chunk, not per order
+    tail_scale, panel_scale = np.exp(-(zeta + split_at)), 0.5 * split_at * np.exp(-zeta)
 
-    def evaluate(rows, order):
+    def evaluate(rows, n):
+        """Gauss-n and anti-Gauss estimates of each row's integral, over its row factor."""
         row_constants, zeta_col, T = constants[:, rows], zeta[rows, None], split_at[rows]
-        t, w_lag = gauss_laguerre(order)
-        tail = _integrand_rows(row_constants, zeta_col + T[:, None] + t[None, :])
+        (t, w), (t_anti, w_anti) = gauss_laguerre(n), gauss_laguerre(n, True)
+        f = _integrand_rows(row_constants, zeta_col + T[:, None] + np.concatenate([t, t_anti]))
         # einsum, unlike BLAS gemv, sums each row the same way wherever it sits,
         # up to 8 192 columns (numpy 2.4), which _QUAD_CAP = 512 keeps
-        total = np.exp(-(zeta[rows] + T)) * np.einsum("ij,j->i", tail, w_lag)
+        gauss = tail_scale[rows] * np.einsum("ij,j->i", f[:, :n], w)
+        anti = tail_scale[rows] * np.einsum("ij,j->i", f[:, n:], w_anti)
         panel_rows = np.nonzero(T > 0.0)[0]
         if panel_rows.size:
-            x, w_leg = gauss_legendre(order)
-            half = 0.5 * T[panel_rows, None]
-            minus_t = -half * (x[None, :] + 1.0)
+            (x, w), (x_anti, w_anti) = gauss_legendre(n), gauss_legendre(n, True)
+            minus_t = -0.5 * T[panel_rows, None] * (np.concatenate([x, x_anti]) + 1.0)
             g = _integrand_rows(row_constants[:, panel_rows], zeta_col[panel_rows] - minus_t)
             g *= np.exp(minus_t)
-            panel = half[:, 0] * np.einsum("ij,j->i", g, w_leg)
-            total[panel_rows] += np.exp(-zeta[rows][panel_rows]) * panel
-        return total
+            scale = panel_scale[rows[panel_rows]]
+            gauss[panel_rows] += scale * np.einsum("ij,j->i", g[:, :n], w)
+            anti[panel_rows] += scale * np.einsum("ij,j->i", g[:, n:], w_anti)
+        return gauss, anti
 
-    order = _QUAD_START * (4 if rel_tol < 1e-12 else 2 if rel_tol < 1e-11 else 1)
-    pending = np.arange(eps.size)
-    vals = evaluate(pending, order)
-    orders, worst_delta = np.empty(eps.size, dtype=int), 0.0
-    order *= 2
+    n, pending = _quad_start(rel_tol), np.arange(eps.size)
+    vals, orders, worst = np.empty(eps.size), np.empty(eps.size, dtype=int), 0.0
     while True:
-        new = evaluate(pending, order)
-        delta = np.abs(new - vals[pending])
-        scale = np.maximum(np.abs(new), 1e-300)
-        vals[pending] = new
-        orders[pending] = order
-        converged = delta <= rel_tol * scale
-        worst_delta = max(worst_delta, float((delta / scale)[converged].max(initial=0.0)))
+        gauss, anti = evaluate(pending, n)
+        value = 0.5 * (gauss + anti)
+        estimate = 0.5 * np.abs(gauss - anti) / np.maximum(np.abs(value), 1e-300)
+        vals[pending], orders[pending] = value, n
+        converged = estimate <= rel_tol
+        worst = max(worst, float(estimate[converged].max(initial=0.0)))
         pending = pending[~converged]
         if pending.size == 0:
             vals *= 2.0 * (eps - 1.0) * (eps + 1.0)   # the row factor of _integrand_rows
-            return vals, np.where(split_at > 0.0, 2 * orders, orders), worst_delta
-        if order >= _QUAD_CAP:
+            return vals, np.where(near, 2, 1) * (2 * orders + 1), worst
+        if 2 * n > _QUAD_CAP:
             raise ConvergenceError(
                 "per-frequency quadrature did not converge within the node budget",
-                order=order, unconverged=int(pending.size),
-                worst_rel_delta=float((delta[~converged] / scale[~converged]).max()),
+                order=n, unconverged=int(pending.size),
+                worst_rel_delta=float(estimate[~converged].max()),
                 zeta=zeta[pending][:8].tolist(), eps=eps[pending][:8].tolist())
-        order *= 2
+        n *= 2
 
 
 def _matsubara_integral_block(eps, zeta, rel_tol):
-    """Vectorized per-frequency integrals with per-row order doubling.
+    """Vectorized per-frequency integrals with per-row anti-Gauss error estimates.
 
     After the shift y = zeta + t the integrand is singular close to the
     lower limit: sqrt(y^2 + zeta^2 (eps-1)) branches at t = -zeta +- i width,
     width = zeta*sqrt(eps-1), a distance zeta*sqrt(eps) from t = 0, and r_par
-    has a pole near t = -zeta.  A row with zeta < 1 or width < 0.5 is
+    has a pole near t = -zeta.  A row with zeta < 4 or width < 0.5 is
     integrated as a Gauss-Legendre panel over [0, T], T = 5 zeta sqrt(eps)
     held to [0.5, 2], plus a Gauss-Laguerre rule beyond T; any other row is
-    pure Gauss-Laguerre.  Both pieces share one order that doubles from
-    ``_QUAD_START`` (x2 below 1e-11, x4 below 1e-12: where zeta sqrt(eps) is
-    a few 1e-4, orders 16 and 32 agree to 1e-12 but both miss that much near
-    t = 0) until successive composite estimates agree to ``rel_tol``.  Rows
-    are taken in chunks of ``_CHUNK``; each row's value depends on it alone.
+    pure Gauss-Laguerre.  Each piece takes the n-node Gauss rule G and the
+    (n+1)-node anti-Gauss rule A of its weight, whose errors are opposite to
+    leading order (Laurie, Math. Comp. 65, 739 (1996)): a row's value is
+    (G + A)/2, accepted once |G - A|/2 <= rel_tol |value|, else n doubles up
+    to ``_QUAD_CAP``.  n starts at 8, 12, 16 or 24 as rel_tol falls
+    (``_quad_start``).  One scan set those and the panel up to zeta = 4:
+    a Laguerre rule alone there lets G and A agree by accident, 10 times
+    closer than the value.  Rows are taken in chunks of ``_CHUNK``; each
+    row's value depends on it alone.
 
-    Returns (values, nodes used per row, max_final_rel_delta).
+    Returns (values, nodes per row: 2n + 1 per piece, worst accepted estimate).
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     chunks = [_integrate_chunk(eps[i:i + _CHUNK], zeta[i:i + _CHUNK], rel_tol)
               for i in range(0, eps.size, _CHUNK)]
-    vals, nodes, deltas = zip(*chunks)
-    return np.concatenate(vals), np.concatenate(nodes), max(deltas)
+    vals, nodes, estimates = zip(*chunks)
+    return np.concatenate(vals), np.concatenate(nodes), max(estimates)
 
 
 def matsubara_integral(eps: float, zeta: float, quad_rel_tol: float = 1e-9) -> float:
     """int_zeta^inf dy e^{-y} [(2y^2 - zeta^2) r_par + zeta^2 r_perp], always >= 0.
 
-    Gauss-Laguerre rules and a panel near y = zeta, doubled until they meet ``quad_rel_tol``.
+    Gauss-Laguerre rules and a panel near y = zeta, with anti-Gauss error estimates that
+    meet ``quad_rel_tol``.
     """
     if eps < 1.0:
         raise DomainError("permittivity at imaginary frequency must be >= 1")
@@ -310,15 +319,15 @@ def _sum_grid_span(T: float):
 
 
 def _plan_sizes(atom, series_rel_tol: float, xi1: float):
-    """(L, top, zeta_end, panels, nodes): how far and how finely a sum at series_rel_tol reads.
+    """(L, top, zeta_end, width, nodes): how far and how finely a sum at series_rel_tol reads.
 
     The terms l < L are summed one by one and the terms l >= top as a tail,
-    int_top^{zeta_end/tau} f(l) dl on ``panels`` Gauss-Legendre panels plus the
-    end corrections of ``_STENCIL`` (``_tail_points``).  A plain sum stops at
-    zeta_l = zeta_end.  A tabulated alpha is only C^1 (PCHIP) up to its last
-    row and kinked there, so its tail starts above the table, at top, and its
-    middle L <= l < top is a product sum over panels of ``nodes``
-    Chebyshev-Lobatto points (``_middle_rows``); otherwise top = L.
+    int_top^{zeta_end/tau} f(l) dl on Gauss-Legendre panels at most ``width``
+    wide in ln l, plus the end corrections of ``_STENCIL`` (``_tail_points``).
+    A plain sum stops at zeta_l = zeta_end.  A tabulated alpha is only C^1
+    (PCHIP) up to its last row and kinked there, so its tail starts above the
+    table, at top, and its middle L <= l < top is a product sum over panels of
+    ``nodes`` Chebyshev-Lobatto points (``_middle_rows``); otherwise top = L.
 
     Each size follows series_rel_tol, from one scan of 0.5 to 1e-13 against a
     plain sum to zeta = 60 (six walls, five atoms, 4 K to 3 000 K, 1 nm to
@@ -326,20 +335,22 @@ def _plan_sizes(atom, series_rel_tol: float, xi1: float):
     of series_rel_tol, down to L = 3, which keeps the stencil point L - 3/2 at
     a Matsubara term; zeta_end leaves a tenth of it to the remainder past the
     cutoff, largest on an ideal metal with a static atom, e^-z (z^2 + 4z + 6)/6
-    of F (zeta_end is 28 at 1e-9 and 38 at the floor); 3 panels hold down to
-    1e-10 and leave 1.8 series_rel_tol at 1e-11, where 4 take over; the
-    middle's interpolation gains a digit per 2.5 nodes, with at least 9, as 5
-    and 6 missed 1e-2 and 1e-3 on the tabulated atoms.
+    of F (zeta_end is 28 at 1e-9 and 38 at the floor); the middle's
+    interpolation gains a digit per 2.5 nodes, with at least 9, as 5 and 6
+    missed 1e-2 and 1e-3 on the tabulated atoms.  The panel width (3.56 at
+    1e-9, 2 at the floor) is from a scan against the closed form of an ideal
+    metal with a static atom, whose tails are the longest (0.5 K to 1 000 K,
+    1 nm to 10 um), where 3.2, 2.4 and 2.0 held at 1e-10, 1e-12 and 1e-13.
     """
     L = max(3, math.ceil((0.0264 / series_rel_tol) ** (1.0 / 7.0)))
     zeta_end = 60.0
     for _ in range(4):   # toward the fixed point of e^-z (z^2 + 4z + 6)/6 = series_rel_tol/10
         zeta_end = math.log((zeta_end * (zeta_end + 4.0) + 6.0) / (0.6 * series_rel_tol))
-    panels = 3 if series_rel_tol >= 1e-10 else 4
+    width = 2.0 * (series_rel_tol / 1e-13) ** (1.0 / 16.0)
     nodes = max(9, math.ceil(-2.5 * math.log10(series_rel_tol)))
     if isinstance(atom, TabulatedAlpha):
-        return L, max(L, math.ceil(atom.xi[-1] / xi1) + 2), zeta_end, panels, nodes
-    return L, L, zeta_end, panels, nodes
+        return L, max(L, math.ceil(atom.xi[-1] / xi1) + 2), zeta_end, width, nodes
+    return L, L, zeta_end, width, nodes
 
 
 @lru_cache(maxsize=32)
@@ -386,25 +397,32 @@ def _middle_rows(tau: float, L: int, end: int, panels: int, nodes: int, alpha):
     return l_k, w_k
 
 
-def _tail_points(tau, L: int, zeta_end: float, panels: int):
-    """(l, weight) rows per separation with sum_{l >= L} f(l) ~ sum weight * f(l).
+def _tail_points(tau, top: int, zeta_end: float, panels):
+    """(i, l, weight) rows with sum_{l >= top} f(l) ~ sum weight * f(l) at separation tau[i].
 
     f(l) is the term at the continuous frequency xi_1 l, and the sum is
-    int_L^inf f(l) dl + f(L)/2 - f'(L)/12 + f'''(L)/720 - f^(5)(L)/30240
+    int_top^inf f(l) dl + f(top)/2 - f'(top)/12 + f'''(top)/720 - f^(5)(top)/30240
     (Euler-Maclaurin).  The integral runs up to zeta = tau l = zeta_end over
-    ``panels`` Gauss-Legendre panels of _TAIL_ORDER nodes and equal width in
-    ln l; the end corrections come from f at L + _STENCIL.  ``_plan_sizes``
-    sizes L, zeta_end and panels to series_rel_tol.
+    ``panels[i]`` Gauss-Legendre panels of _TAIL_ORDER nodes and equal width
+    in ln l; the end corrections come from f at top + _STENCIL but top - 1,
+    whose weight goes to the caller's row there.  Separations are taken in
+    groups of equal panels; each keeps its rows in one order.
     """
     x, w = gauss_legendre(_TAIL_ORDER)
-    edges = np.linspace(math.log(L), np.log(zeta_end / tau), panels + 1, axis=-1)
-    half = 0.5 * np.diff(edges)[:, :, None]
-    nodes = np.exp(edges[:, :-1, None] + half * (x + 1.0))
-    shape = (tau.size, _STENCIL.size)
-    ls = np.concatenate([np.broadcast_to(L + _STENCIL, shape), nodes.reshape(tau.size, -1)], axis=1)
-    weights = np.concatenate([np.broadcast_to(_STENCIL_WEIGHTS, shape),
-                              (half * w * nodes).reshape(tau.size, -1)], axis=1)
-    return ls, weights
+    shifts = _STENCIL != -1.0
+    parts = []
+    for k in np.unique(panels):
+        at = np.nonzero(panels == k)[0]
+        edges = np.linspace(math.log(top), np.log(zeta_end / tau[at]), k + 1, axis=-1)
+        half = 0.5 * np.diff(edges)[:, :, None]
+        nodes = np.exp(edges[:, :-1, None] + half * (x + 1.0))
+        shape = (at.size, np.count_nonzero(shifts))
+        ls = np.concatenate([np.broadcast_to(top + _STENCIL[shifts], shape),
+                             nodes.reshape(at.size, -1)], axis=1)
+        weights = np.concatenate([np.broadcast_to(_STENCIL_WEIGHTS[shifts], shape),
+                                  (half * w * nodes).reshape(at.size, -1)], axis=1)
+        parts.append((np.repeat(at, ls.shape[1]), ls.ravel(), weights.ravel()))
+    return (np.concatenate(v) for v in zip(*parts))
 
 
 def free_energy_batch(requests) -> list:
@@ -446,9 +464,10 @@ def free_energy_batch(requests) -> list:
     n = len(requests)
     tau = matsubara_zeta(1, np.array([r.a for r in requests]), T)
     xi1, xi_top = _sum_grid_span(T)
-    L, top, zeta_end, panels, middle_nodes = _plan_sizes(atom, tol.series_rel_tol, xi1)
+    L, top, zeta_end, width, middle_nodes = _plan_sizes(atom, tol.series_rel_tol, xi1)
     plain = np.ceil(zeta_end / tau).astype(int)
-    em_cost = top - 1 + _STENCIL.size + panels * _TAIL_ORDER
+    panels = np.maximum(np.ceil(np.log(zeta_end / (tau * top)) / width), 1).astype(int)
+    em_cost = top - 1 + _STENCIL.size - 1 + panels * _TAIL_ORDER   # f(top - 1) is a head row
     em = plain > em_cost
     planned = np.where(em, em_cost, plain)
     head = np.where(em, top - 1, plain)   # the terms whose alpha is read one by one
@@ -475,10 +494,12 @@ def free_energy_batch(requests) -> list:
         # a node's row is multiplied by alpha(l_k) below, as every row is
         parts.append((np.repeat(mids, nodes[mids]), l_k, w_k / alpha_iw(atom, xi1 * l_k)))
     if em.any():
-        tail_l, tail_w = _tail_points(tau[em], top, zeta_end, panels)
-        parts.append((np.repeat(np.nonzero(em)[0], tail_l.shape[1]), tail_l.ravel(),
-                      tail_w.ravel()))
+        tails = np.nonzero(em)[0]
+        i, tail_l, tail_w = _tail_points(tau[tails], top, zeta_end, panels[tails])
+        parts.append((tails[i], tail_l, tail_w))
     owner, ls, weights = (np.concatenate(v) for v in zip(*parts))
+    # f(top - 1) of the stencil is the last head term or the last middle node
+    weights[em[owner] & (ls == top - 1)] += _STENCIL_WEIGHTS[_STENCIL == -1.0]
 
     # every row of the batch at once, in plan order; eps and alpha once per row
     xis, zeta = xi1 * ls, tau[owner] * ls

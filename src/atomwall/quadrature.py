@@ -6,40 +6,49 @@ interpolant that reads tabulated alpha(i xi).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
-@lru_cache(maxsize=None)
-def gauss_laguerre(order: int):
-    """Nodes and weights for ``int_0^inf e^{-t} f(t) dt``.
+def _golub_welsch(diagonal, off_diagonal, mu0: float, anti: bool):
+    """Nodes and weights of the rule of a Jacobi matrix (Golub and Welsch, 1969).
 
-    Built by Golub-Welsch from the Jacobi matrix of the Laguerre polynomials
-    (diagonal 2i+1, off-diagonals i).  The symmetric eigensolve stays stable
-    up to the 512 cap, where ``numpy.polynomial.laguerre.laggauss`` returns
-    NaN weights from order 256 on.
+    ``anti`` scales the last off-diagonal by sqrt(2): the anti-Gaussian rule
+    of Laurie (Math. Comp. 65, 739 (1996)), whose n + 1 nodes err by minus the
+    error of the n-node Gauss rule, to leading order.  The symmetric
+    eigensolve stays stable up to the 512 cap.
     """
-    i = np.arange(order)
-    jacobi = np.zeros((order, order))
-    jacobi.flat[::order + 1] = 2.0 * i + 1.0
-    jacobi.flat[1::order + 1] = i[1:]
-    jacobi.flat[order::order + 1] = i[1:]
+    if anti:
+        off_diagonal[-1] *= math.sqrt(2.0)
+    jacobi = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
-    weights = vectors[0, :] ** 2  # first-moment normalization mu_0 = 1
+    weights = mu0 * vectors[0, :] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre(order: int):
-    """Nodes and weights on [-1, 1]."""
-    nodes, weights = leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def gauss_laguerre(order: int, anti: bool = False):
+    """Gauss (or anti-Gauss, order + 1 nodes) nodes and weights for ``int_0^inf e^{-t} f(t) dt``.
+
+    The Jacobi matrix has diagonal 2i + 1 and off-diagonals i; numpy's
+    ``laggauss`` returns NaN weights from order 256 on.
+    """
+    i = np.arange(order + anti, dtype=float)
+    return _golub_welsch(2.0 * i + 1.0, i[1:], 1.0, anti)
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(order: int, anti: bool = False):
+    """Gauss (or anti-Gauss, order + 1 nodes) nodes and weights on [-1, 1].
+
+    The Jacobi matrix has diagonal 0 and off-diagonals i/sqrt(4i^2 - 1).
+    """
+    i = np.arange(1.0, order + anti)
+    return _golub_welsch(np.zeros(order + anti), i / np.sqrt(4.0 * i * i - 1.0), 2.0, anti)
 
 
 def _end_slope(h0, h1, m0, m1):

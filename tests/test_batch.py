@@ -96,8 +96,8 @@ def test_rows_integrated_stay_close_to_terms_summed(monkeypatch, drude_table):
 
 
 def test_max_terms_exhaustion_names_first_request_in_order():
-    tol = NumericalTolerances(max_terms=60)
-    # 3 nm and 40 nm plan 66 evaluations each (L = 12, 3 tail panels); 1 um plans 18 and 10 um 2
+    tol = NumericalTolerances(max_terms=48)
+    # 3 nm and 40 nm plan 49 evaluations each (L = 12, 2 tail panels); 1 um plans 18 and 10 um 2
     short, mid, far, farthest = [
         ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
         for a in (3e-9, 4e-8, 1e-6, 1e-5)
@@ -108,7 +108,7 @@ def test_max_terms_exhaustion_names_first_request_in_order():
         free_energy_batch([far, short, farthest])
     assert err.value.diagnostics["a"] == 3e-9
     assert err.value.diagnostics == alone.value.diagnostics
-    assert err.value.diagnostics == {"max_terms": 60, "evaluations": 66, "a": 3e-9, "T": 300.0}
+    assert err.value.diagnostics == {"max_terms": 48, "evaluations": 49, "a": 3e-9, "T": 300.0}
     for order in ([mid, short, far], [short, far, mid]):
         with pytest.raises(ConvergenceError) as err:
             free_energy_batch(order)
@@ -123,12 +123,12 @@ def test_max_terms_exhaustion_raises_before_any_integration(monkeypatch):
         raise AssertionError("integrated before the plan was checked")
 
     monkeypatch.setattr(lifshitz, "_matsubara_integral_block", no_integration)
-    tol = NumericalTolerances(max_terms=65)
+    tol = NumericalTolerances(max_terms=48)
     requests = [ComputationRequest(atom=ATOMS[1], wall=WALLS[0], a=a, T=300.0, tol=tol)
                 for a in (1e-6, 3e-9)]
     with pytest.raises(ConvergenceError) as err:
         free_energy_batch(requests)
-    assert err.value.diagnostics["evaluations"] == 66
+    assert err.value.diagnostics["evaluations"] == 49
 
 
 def test_max_terms_bounds_the_alpha_reads_of_a_middle(monkeypatch):

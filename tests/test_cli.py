@@ -489,6 +489,7 @@ _JSON_NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20),
 @given(columns=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True),
        data=st.data())
 @example(columns=["b", "a", "n_terms"], data=None)
+@example(columns=["%s", "a%d", "%"], data=None)   # the row template is filled with %
 def test_json_output_is_the_bytes_of_json_dumps(columns, data):
     from atomwall import cli
 

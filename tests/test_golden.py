@@ -48,49 +48,49 @@ ATOMS = {
 
 # (wall, atom, a [m]) at 300 K: (free_energy.hex(), n_terms_used, max_quad_nodes)
 GOLDEN = {
-    ('plasma', 'static', 3e-09): ('-0x1.e026897754507p-73', 66, 64),
-    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b950p-85', 66, 64),
-    ('plasma', 'static', 1e-06): ('-0x1.b9d1717838a81p-103', 18, 32),
-    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 2, 32),
-    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa05e7b7p-75', 66, 64),
-    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b36c44b9p-87', 66, 64),
-    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bca8cp-103', 18, 32),
-    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 2, 32),
-    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c3c691p-73', 66, 128),
-    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a6cde2p-86', 66, 128),
-    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c33339p-104', 18, 32),
-    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 2, 32),
-    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d4e39adp-77', 66, 128),
-    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf84f0a9p-88', 66, 128),
-    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1ecc1p-104', 18, 32),
-    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 2, 32),
-    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697a4fc55p-69', 66, 0),
-    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12f128f6p-84', 66, 0),
+    ('plasma', 'static', 3e-09): ('-0x1.e02689774ebe4p-73', 49, 98),
+    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b59ep-85', 49, 98),
+    ('plasma', 'static', 1e-06): ('-0x1.b9d1717838ae6p-103', 18, 50),
+    ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 2, 25),
+    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa05efa3p-75', 49, 98),
+    ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b36c40c8p-87', 49, 98),
+    ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bcaf0p-103', 18, 50),
+    ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 2, 25),
+    ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c316b1p-73', 49, 98),
+    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a69cb0p-86', 49, 98),
+    ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c33347p-104', 18, 50),
+    ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 2, 25),
+    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d4d07ccp-77', 49, 98),
+    ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf847e3ep-88', 49, 98),
+    ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1eccfp-104', 18, 50),
+    ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 2, 25),
+    ('ideal_metal', 'static', 3e-09): ('-0x1.494b697a5d707p-69', 49, 0),
+    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12f128fcp-84', 49, 0),
     ('ideal_metal', 'static', 1e-06): ('-0x1.c930d48f74318p-103', 18, 0),
     ('ideal_metal', 'static', 1e-05): ('-0x1.0182b6420f517p-114', 2, 0),
-    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7da204cp-75', 66, 0),
-    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ec778p-86', 66, 0),
+    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7da203dp-75', 49, 0),
+    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ec777p-86', 49, 0),
     ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a50871p-103', 18, 0),
     ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 2, 0),
-    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc7161p-73', 66, 64),
-    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928e51p-85', 66, 64),
-    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe1889537d7p-103', 18, 32),
-    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 2, 32),
-    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d57670p-75', 66, 64),
-    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52b48adp-87', 66, 64),
-    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e635e7dp-103', 18, 32),
-    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 2, 32),
+    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc1791p-73', 49, 98),
+    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928a99p-85', 49, 98),
+    ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe188953844p-103', 18, 50),
+    ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 2, 25),
+    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d57b50p-75', 49, 98),
+    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52b44aep-87', 49, 98),
+    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e635eeap-103', 18, 50),
+    ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 2, 25),
 }
 
 # (subcommand, bundled config, format): sha256 of the output file
 CLI_GOLDEN = {
     ("alpha", "alpha_oscillators.json", "csv"): "3c89a8a31e81f398a6f7b359f19a178131b7dde759ed879db5fc3b13173011b6",
     ("alpha", "alpha_oscillators.json", "json"): "c96dd20cad84f6a32987d52081f7b04c6dec18859e66e4a2463687c7cd39a32b",
-    ("energy", "energy_plasma_static.json", "csv"): "4deb8edad941686c5e170db7dc5021f692d9f8e193dce1f38de534e9b9cc893f",
+    ("energy", "energy_plasma_static.json", "csv"): "f6640935b0b8f8f73013a3e6f038227cc17f97de40b26fb6423b6b04c2ccc5a9",
     ("epsilon", "epsilon_ninham_parsegian.json", "csv"): "84b8f10b7f39a7319a4bd213f0340eefc6679a368f56ed519dae8fa9ab92e493",
     ("epsilon", "epsilon_ninham_parsegian.json", "json"): "c6db6e701930dc41df54865139827c3f11514ea31ccf1e4c6809f456d534d5b5",
-    ("sweep", "sweep_normalized.json", "csv"): "0ef5c64d90b928c999b400667df1563494db71edfe45a456079c409c6afdb8b2",
-    ("sweep", "sweep_normalized.json", "json"): "a6b91e761ecfcb4cdacc3941b4555e654776763e21736f1138efc03f80c3166c",
+    ("sweep", "sweep_normalized.json", "csv"): "71ad52003378a08549314bec83e1b5766a76c243dedd60832992102abfdd2df4",
+    ("sweep", "sweep_normalized.json", "json"): "1b2fd5f5216a54cd25f68c552ece79dd0363d254fdd6b96843a19c97efd04942",
 }
 # the bundled config that reads tables shipped apart from the repository
 NEEDS_DATA = {"table_au_vs_models.json"}
@@ -123,9 +123,9 @@ def test_cli_output_bytes(tmp_path, command, name, fmt):
 # eps_grid of TabulatedKK(make_drude_table(), METAL) over the span of a 300 K
 # sum, read at 150 log-spaced points of that span
 GRID_PROBES = 150
-GRID_GOLDEN_SHA256 = "cbc7480ce9e8ff45f798f64919fa3dcb0fa01c10a64554475dcf44dff4b6327e"
-GRID_GOLDEN = {0: "0x1.4072cc87e9253p+11", 37: "0x1.179f54a5e92cfp+4",
-               74: "0x1.17340b99f5b73p+0", 111: "0x1.002043aa17b1fp+0",
+GRID_GOLDEN_SHA256 = "4bf20a158eeb714841a457cae934dbf25d40a7f92a9eddf559cb556b51a6c678"
+GRID_GOLDEN = {0: "0x1.4072cc87e925dp+11", 37: "0x1.179f54a5e92c2p+4",
+               74: "0x1.17340b99f5b74p+0", 111: "0x1.002043aa17b1fp+0",
                149: "0x1.000026ed6c945p+0"}
 
 
@@ -177,9 +177,9 @@ def _write_tabulated_configs(directory: Path):
 # (subcommand, format): sha256 of the output on the configs written above
 TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
-    ("epsilon", "json"): "6b3d35f70cebd02cf5b56bcd35b42d3b838a1aa10f3e853a5e833426187336d5",
+    ("epsilon", "json"): "336b9f777cab3a24ae13ab3a4aa82b39bc402fb0cec39381162504997b7bc7aa",
     ("table", "csv"): "34550c24b89ef749611fd20754077de4c1cb887502cd0fa0411dce944a86c2a4",
-    ("table", "json"): "358981d2099fcdb0f04062fc347be1438b47539417b5fe96f82df2cc809972c9",
+    ("table", "json"): "a54c9c4c1fd514f71ff0daa3351465026a15748e625d8ecec99110169868193f",
 }
 
 

@@ -209,14 +209,14 @@ class TestMatsubaraIntegral:
             matsubara_integral(2.0, -0.1)
 
     def test_node_budget_raises_with_diagnostics(self, monkeypatch):
-        # at quad_rel_tol 1e-13 the order starts at 64; the first row needs 256
-        monkeypatch.setattr(lifshitz, "_QUAD_CAP", 128)
+        # at quad_rel_tol 1e-13 the pairs start at order 24; the first row needs 96
+        monkeypatch.setattr(lifshitz, "_QUAD_CAP", 64)
         eps, zeta = np.array([1.14105918, 2.0]), np.array([2.1369e-4, 0.1])
         with pytest.raises(ConvergenceError) as info:
             _matsubara_integral_block(eps, zeta, 1e-13)
         diagnostics = info.value.diagnostics
         assert set(diagnostics) == {"order", "unconverged", "worst_rel_delta", "zeta", "eps"}
-        assert diagnostics["order"] == 128 and diagnostics["worst_rel_delta"] > 1e-13
+        assert diagnostics["order"] == 48 and diagnostics["worst_rel_delta"] > 1e-13
 
 
 def _integrand(eps_col, zeta_col, y):
@@ -300,6 +300,21 @@ class TestQuadratureAgainstDenseReference:
         values, _, _ = _matsubara_integral_block(eps, zeta, quad_rel_tol)
         errors = np.abs(values / _dense_reference(eps, zeta) - 1.0)
         assert np.all(errors <= quad_rel_tol), (eps, zeta, errors)
+
+
+@pytest.mark.parametrize("order", [8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512])
+def test_row_bits_do_not_depend_on_the_rest_of_its_chunk(monkeypatch, order):
+    # each order a pair can reach up to _QUAD_CAP: einsum sums a row alone up to
+    # 8 192 columns, and a piece of a pair has 2 order + 1
+    monkeypatch.setattr(lifshitz, "_quad_start", lambda rel_tol: order)
+    rng = np.random.default_rng(37)
+    eps = 1.0 + 10.0 ** rng.uniform(-6.0, 4.0, lifshitz._CHUNK)
+    zeta = 10.0 ** rng.uniform(-5.0, math.log10(60.0), lifshitz._CHUNK)
+    values, nodes, _ = _matsubara_integral_block(eps, zeta, 0.5)
+    assert set(nodes // (2 * order + 1)) == {1, 2}   # every row at its first pair, both kinds
+    for i in range(0, lifshitz._CHUNK, 17):
+        alone, _, _ = _matsubara_integral_block(eps[i:i + 1], zeta[i:i + 1], 0.5)
+        assert alone[0].hex() == values[i].hex(), (eps[i], zeta[i])
 
 
 def _table_config_wall():
@@ -763,6 +778,23 @@ class TestPlainSumReference:
                                              wall=_REF_WALLS["plasma"], a=1e-6, T=4.0))
         assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == 11 + 45
 
+    @pytest.mark.parametrize("atom_name,a,T,rows", [
+        ("oscillator", 3e-9, 300.0, 11 + 6 + 2 * 16),   # the head's last term at l = 11
+        ("tabulated", 3e-8, 4.0, 11 + 67 + 6 + 16),     # the middle's last node at top - 1
+    ])
+    def test_stencil_shares_the_row_at_top_minus_one(self, monkeypatch, atom_name, a, T, rows):
+        # L - 1 head terms, the middle's nodes, 6 stencil points and 16 per tail panel
+        zetas, block = [], lifshitz._matsubara_integral_block
+
+        def recording(eps, zeta, rel_tol):
+            zetas.append(zeta)
+            return block(eps, zeta, rel_tol)
+
+        monkeypatch.setattr(lifshitz, "_matsubara_integral_block", recording)
+        res = free_energy(ComputationRequest(atom=_REF_ATOMS[atom_name],
+                                             wall=_REF_WALLS["plasma"], a=a, T=T))
+        assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == rows
+
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
     @pytest.mark.parametrize("atom_name", list(_REF_ATOMS))
@@ -776,3 +808,25 @@ class TestPlainSumReference:
             tol = NumericalTolerances(series_rel_tol=series_rel_tol, quad_rel_tol=1e-11)
             res = free_energy(ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol))
             assert abs(res.free_energy / reference - 1.0) <= series_rel_tol, a
+
+
+class TestClosedFormLongTail:
+    """Ideal metal and static atom against the geometric series, where the tail is long.
+
+    At low temperature and short separation the Euler-Maclaurin tail spans up
+    to ln(zeta_end/(zeta_1 top)) = 14 in ln l, beyond the separations and
+    temperatures of ``TestPlainSumReference`` (``_REF_MAX_TERMS``).
+    """
+
+    @pytest.mark.parametrize("series_rel_tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12,
+                                                1e-13])
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_within_series_rel_tol(self, T, series_rel_tol):
+        separations = (1e-9, 1.5e-9, 2e-9, 3e-9, 5e-9, 7e-9, 1e-8)
+        tol = NumericalTolerances(series_rel_tol=series_rel_tol)
+        results = free_energy_batch([ComputationRequest(atom=StaticAlpha(ALPHA0),
+                                                        wall=IdealMetal(), a=a, T=T, tol=tol)
+                                     for a in separations])
+        errors = [abs(r.free_energy / ideal_static_closed_form(ALPHA0, a, T) - 1.0)
+                  for a, r in zip(separations, results)]
+        assert max(errors) <= series_rel_tol, dict(zip(separations, errors))

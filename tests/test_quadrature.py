@@ -1,5 +1,6 @@
 """The numpy-only helpers against the scipy routines they replace, bit for bit."""
 
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomwall.quadrature import gauss_laguerre, pchip
+from atomwall.quadrature import gauss_laguerre, gauss_legendre, pchip
 
 
 def test_import_loads_no_scipy():
@@ -27,6 +28,34 @@ def test_gauss_laguerre_equals_tridiagonal_eigensolve(order):
     got_nodes, got_weights = gauss_laguerre(order)
     assert np.array_equal(got_nodes, nodes)
     assert np.array_equal(got_weights, vectors[0, :] ** 2)
+
+
+# int t^k e^-t over [0, inf) and int x^k over [-1, 1]
+_MOMENTS = {gauss_laguerre: lambda k: float(math.factorial(k)),
+            gauss_legendre: lambda k: 2.0 / (k + 1) if k % 2 == 0 else 0.0}
+
+
+@pytest.mark.parametrize("rule", list(_MOMENTS), ids=lambda r: r.__name__)
+@pytest.mark.parametrize("order", [4, 8, 12, 16])
+def test_anti_gauss_errs_by_minus_the_gauss_error(rule, order):
+    # Laurie (1996): the n + 1 anti-Gauss nodes give 2 I[p] - G_n[p] for degree <= 2n + 1
+    (x, w), (x_anti, w_anti) = rule(order), rule(order, True)
+    assert x_anti.size == order + 1
+    for k in (2 * order - 1, 2 * order, 2 * order + 1):
+        exact = _MOMENTS[rule](k)
+        gauss, anti = w @ x ** k, w_anti @ x_anti ** k
+        scale = max(abs(exact), 1e-300) if exact else 1.0
+        assert abs(anti - (2.0 * exact - gauss)) <= 1e-13 * scale, k
+    # and Gauss itself misses degree 2n by far more
+    assert abs(w @ x ** (2 * order) / _MOMENTS[rule](2 * order) - 1.0) > 1e-10
+
+
+@pytest.mark.parametrize("order", [8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512])
+def test_anti_gauss_nodes_lie_inside_the_interval(order):
+    t, _ = gauss_laguerre(order, True)
+    x, w = gauss_legendre(order, True)
+    assert t.min() > 0.0
+    assert -1.0 < x.min() and x.max() < 1.0 and w.min() > 0.0
 
 
 # flat runs and sign changes come from the few exact values
