@@ -281,7 +281,7 @@ _QUAD_WALLS = {
 
 
 class TestQuadratureAgainstDenseReference:
-    """Two successive orders can agree by accident; a dense rule would see it."""
+    """A Gauss rule and its anti-Gauss rule can agree by accident; a dense rule would see it."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -291,7 +291,7 @@ class TestQuadratureAgainstDenseReference:
                       min_size=1, max_size=6),
         quad_rel_tol=st.sampled_from([1e-9, 1e-11, 1e-13]),
     )
-    # zeta sqrt(eps) = 3e-4, where orders 16 and 32 agree to 1e-12 and both miss as much
+    # zeta sqrt(eps) = 3e-4, where doubled orders 16 and 32 agreed to 1e-12 and both missed as much
     @example(wall="static", rows=[(-9.0, math.log10(1.55e-4))], quad_rel_tol=1e-12)
     @example(wall="static", rows=[(-9.0, math.log10(1.55e-4))], quad_rel_tol=1e-13)
     def test_within_quad_rel_tol(self, wall, rows, quad_rel_tol):
@@ -302,10 +302,16 @@ class TestQuadratureAgainstDenseReference:
         assert np.all(errors <= quad_rel_tol), (eps, zeta, errors)
 
 
-@pytest.mark.parametrize("order", [8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512])
+# every order a pair can reach: a start order of some quad_rel_tol, doubled up to _QUAD_CAP
+_PAIR_ORDERS = sorted({start * 2 ** k for start in {lifshitz._quad_start(10.0 ** -d)
+                                                    for d in range(1, 14)}
+                       for k in range(12) if start * 2 ** k <= lifshitz._QUAD_CAP})
+
+
+@pytest.mark.parametrize("order", _PAIR_ORDERS)
 def test_row_bits_do_not_depend_on_the_rest_of_its_chunk(monkeypatch, order):
-    # each order a pair can reach up to _QUAD_CAP: einsum sums a row alone up to
-    # 8 192 columns, and a piece of a pair has 2 order + 1
+    # einsum sums a row alone up to 8 192 columns (numpy 2.4), and a piece of a
+    # pair has 2 order + 1
     monkeypatch.setattr(lifshitz, "_quad_start", lambda rel_tol: order)
     rng = np.random.default_rng(37)
     eps = 1.0 + 10.0 ** rng.uniform(-6.0, 4.0, lifshitz._CHUNK)
