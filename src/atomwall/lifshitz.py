@@ -270,9 +270,9 @@ def _matsubara_integral_block(eps, zeta, rel_tol):
     (G + A)/2, accepted once |G - A|/2 <= rel_tol |value|, else n doubles up
     to ``_QUAD_CAP``.  n starts at 8, 12, 16 or 24 as rel_tol falls
     (``_quad_start``).  One scan set those and the panel up to zeta = 4:
-    a Laguerre rule alone there lets G and A agree by accident, 10 times
-    closer than the value.  Rows are taken in chunks of ``_CHUNK``; each
-    row's value depends on it alone.
+    with a Laguerre rule alone there, G and A agreed by accident on rows
+    that missed by up to 10 times rel_tol.  Rows are taken in chunks of
+    ``_CHUNK``; each row's value depends on it alone.
 
     Returns (values, nodes per row: 2n + 1 per piece, worst accepted estimate).
     """
