@@ -405,24 +405,22 @@ def _tail_points(tau, top: int, zeta_end: float, panels):
     (Euler-Maclaurin).  The integral runs up to zeta = tau l = zeta_end over
     ``panels[i]`` Gauss-Legendre panels of _TAIL_ORDER nodes and equal width
     in ln l; the end corrections come from f at top + _STENCIL but top - 1,
-    whose weight goes to the caller's row there.  Separations are taken in
-    groups of equal panels; each keeps its rows in one order.
+    whose weight goes to the caller's row there.  Every separation's stencil
+    rows come first, then every panel, each separation's in one order.
     """
     x, w = gauss_legendre(_TAIL_ORDER)
     shifts = _STENCIL != -1.0
-    parts = []
-    for k in np.unique(panels):
-        at = np.nonzero(panels == k)[0]
-        edges = np.linspace(math.log(top), np.log(zeta_end / tau[at]), k + 1, axis=-1)
-        half = 0.5 * np.diff(edges)[:, :, None]
-        nodes = np.exp(edges[:, :-1, None] + half * (x + 1.0))
-        shape = (at.size, np.count_nonzero(shifts))
-        ls = np.concatenate([np.broadcast_to(top + _STENCIL[shifts], shape),
-                             nodes.reshape(at.size, -1)], axis=1)
-        weights = np.concatenate([np.broadcast_to(_STENCIL_WEIGHTS[shifts], shape),
-                                  (half * w * nodes).reshape(at.size, -1)], axis=1)
-        parts.append((np.repeat(at, ls.shape[1]), ls.ravel(), weights.ravel()))
-    return (np.concatenate(v) for v in zip(*parts))
+    width = (np.log(zeta_end / tau) - math.log(top)) / panels   # of each panel, in ln l
+    owner = np.repeat(np.arange(tau.size), panels)
+    p = np.arange(owner.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    half = 0.5 * width[owner, None]
+    nodes = np.exp(math.log(top) + width[owner, None] * p[:, None] + half * (x + 1.0))
+    n_shifts = np.count_nonzero(shifts)
+    return (np.concatenate([np.repeat(np.arange(tau.size), n_shifts),
+                            np.repeat(owner, _TAIL_ORDER)]),
+            np.concatenate([np.tile(top + _STENCIL[shifts], tau.size), nodes.ravel()]),
+            np.concatenate([np.tile(_STENCIL_WEIGHTS[shifts], tau.size),
+                            (half * w * nodes).ravel()]))
 
 
 def free_energy_batch(requests) -> list:

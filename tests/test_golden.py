@@ -48,32 +48,32 @@ ATOMS = {
 
 # (wall, atom, a [m]) at 300 K: (free_energy.hex(), n_terms_used, max_quad_nodes)
 GOLDEN = {
-    ('plasma', 'static', 3e-09): ('-0x1.e02689774ebe4p-73', 49, 98),
-    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b59ep-85', 49, 98),
+    ('plasma', 'static', 3e-09): ('-0x1.e02689774ebe6p-73', 49, 98),
+    ('plasma', 'static', 4e-08): ('-0x1.7b89986a3b59fp-85', 49, 98),
     ('plasma', 'static', 1e-06): ('-0x1.b9d1717838ae6p-103', 18, 50),
     ('plasma', 'static', 1e-05): ('-0x1.0182a96ae0dc3p-114', 2, 25),
-    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa05efa3p-75', 49, 98),
+    ('plasma', 'oscillator', 3e-09): ('-0x1.4d031fa05efa4p-75', 49, 98),
     ('plasma', 'oscillator', 4e-08): ('-0x1.fea11b36c40c8p-87', 49, 98),
     ('plasma', 'oscillator', 1e-06): ('-0x1.a8c62a08bcaf0p-103', 18, 50),
     ('plasma', 'oscillator', 1e-05): ('-0x1.017f90a0832aep-114', 2, 25),
     ('ninham_parsegian', 'static', 3e-09): ('-0x1.3e1f460c316b1p-73', 49, 98),
-    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a69cb0p-86', 49, 98),
+    ('ninham_parsegian', 'static', 4e-08): ('-0x1.3198ba8a69cafp-86', 49, 98),
     ('ninham_parsegian', 'static', 1e-06): ('-0x1.5195da3c33347p-104', 18, 50),
     ('ninham_parsegian', 'static', 1e-05): ('-0x1.2e32dd0f234dfp-115', 2, 25),
-    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d4d07ccp-77', 49, 98),
+    ('ninham_parsegian', 'oscillator', 3e-09): ('-0x1.ff28e1d4d07cdp-77', 49, 98),
     ('ninham_parsegian', 'oscillator', 4e-08): ('-0x1.79205bf847e3ep-88', 49, 98),
     ('ninham_parsegian', 'oscillator', 1e-06): ('-0x1.48fae68e1eccfp-104', 18, 50),
     ('ninham_parsegian', 'oscillator', 1e-05): ('-0x1.2e2f3f12fda38p-115', 2, 25),
     ('ideal_metal', 'static', 3e-09): ('-0x1.494b697a5d707p-69', 49, 0),
-    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12f128fcp-84', 49, 0),
+    ('ideal_metal', 'static', 4e-08): ('-0x1.5569a12f128fdp-84', 49, 0),
     ('ideal_metal', 'static', 1e-06): ('-0x1.c930d48f74318p-103', 18, 0),
     ('ideal_metal', 'static', 1e-05): ('-0x1.0182b6420f517p-114', 2, 0),
-    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7da203dp-75', 49, 0),
-    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ec777p-86', 49, 0),
+    ('ideal_metal', 'oscillator', 3e-09): ('-0x1.87636c7da203cp-75', 49, 0),
+    ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ec778p-86', 49, 0),
     ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a50871p-103', 18, 0),
     ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 2, 0),
-    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc1791p-73', 49, 98),
-    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928a99p-85', 49, 98),
+    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc178cp-73', 49, 98),
+    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928a9ap-85', 49, 98),
     ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe188953844p-103', 18, 50),
     ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 2, 25),
     ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d57b50p-75', 49, 98),
@@ -90,7 +90,7 @@ CLI_GOLDEN = {
     ("epsilon", "epsilon_ninham_parsegian.json", "csv"): "84b8f10b7f39a7319a4bd213f0340eefc6679a368f56ed519dae8fa9ab92e493",
     ("epsilon", "epsilon_ninham_parsegian.json", "json"): "c6db6e701930dc41df54865139827c3f11514ea31ccf1e4c6809f456d534d5b5",
     ("sweep", "sweep_normalized.json", "csv"): "71ad52003378a08549314bec83e1b5766a76c243dedd60832992102abfdd2df4",
-    ("sweep", "sweep_normalized.json", "json"): "1b2fd5f5216a54cd25f68c552ece79dd0363d254fdd6b96843a19c97efd04942",
+    ("sweep", "sweep_normalized.json", "json"): "c73d58a07b5dac85a2044093d77593ce6883257cb5feda3c1ec83335745bc8d7",
 }
 # the bundled config that reads tables shipped apart from the repository
 NEEDS_DATA = {"table_au_vs_models.json"}
@@ -179,7 +179,7 @@ TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "336b9f777cab3a24ae13ab3a4aa82b39bc402fb0cec39381162504997b7bc7aa",
     ("table", "csv"): "34550c24b89ef749611fd20754077de4c1cb887502cd0fa0411dce944a86c2a4",
-    ("table", "json"): "a54c9c4c1fd514f71ff0daa3351465026a15748e625d8ecec99110169868193f",
+    ("table", "json"): "58771ce6a3eb6f918278a51d1aa1b6bd1d9537f7b14f3e3627aef5356c857fb2",
 }
 
 
