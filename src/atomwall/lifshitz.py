@@ -20,13 +20,13 @@ int_zeta^inf 2 y^2 e^{-y} dy = 2 e^{-zeta} (zeta^2 + 2 zeta + 2).
 
 zeta_1 spans several orders of magnitude over the supported separations, so
 a plain sum up to the cutoff zeta_end (28 at the default series_rel_tol, 38
-at its floor; ``_plan_sizes``) takes from a few terms to tens of thousands.
+at its floor; ``_plan``) takes from a few terms to tens of thousands.
 Where that is more than the alternative, the terms l < L are summed one by
 one and the rest by Euler-Maclaurin (as for Lifshitz sums in Bordag,
 Klimchitskaya, Mohideen and Mostepanenko, *Advances in the Casimir Effect*,
 OUP 2009): every model takes any xi > 0, so the term f(l) at the continuous
 frequency xi_1 l can be integrated over l and differentiated at L.  So a
-batch plans every row before it evaluates each once (``free_energy_batch``).
+batch plans every row (``_plan``) before ``free_energy_batch`` evaluates each once.
 """
 
 from __future__ import annotations
@@ -318,41 +318,6 @@ def _sum_grid_span(T: float):
     return xi1, _ZETA_MAX * C_LIGHT / (2.0 * HARD_RANGE[0])
 
 
-def _plan_sizes(atom, series_rel_tol: float, xi1: float):
-    """(L, top, zeta_end, width, nodes): how far and how finely a sum at series_rel_tol reads.
-
-    The terms l < L are summed one by one and the terms l >= top as a tail,
-    int_top^{zeta_end/tau} f(l) dl on Gauss-Legendre panels at most ``width``
-    wide in ln l, plus the end corrections of ``_STENCIL`` (``_tail_points``).
-    A plain sum stops at zeta_l = zeta_end.  A tabulated alpha is only C^1
-    (PCHIP) up to its last row and kinked there, so its tail starts above the
-    table, at top, and its middle L <= l < top is a product sum over panels of
-    ``nodes`` Chebyshev-Lobatto points (``_middle_rows``); otherwise top = L.
-
-    Each size follows series_rel_tol, from one scan of 0.5 to 1e-13 against a
-    plain sum to zeta = 60 (six walls, five atoms, 4 K to 3 000 K, 1 nm to
-    100 um): the tail's error is at most 0.0132/L^7 of F, and L makes it half
-    of series_rel_tol, down to L = 3, which keeps the stencil point L - 3/2 at
-    a Matsubara term; zeta_end leaves a tenth of it to the remainder past the
-    cutoff, largest on an ideal metal with a static atom, e^-z (z^2 + 4z + 6)/6
-    of F (zeta_end is 28 at 1e-9 and 38 at the floor); the middle's
-    interpolation gains a digit per 2.5 nodes, with at least 9, as 5 and 6
-    missed 1e-2 and 1e-3 on the tabulated atoms.  The panel width (3.56 at
-    1e-9, 2 at the floor) is from a scan against the closed form of an ideal
-    metal with a static atom, whose tails are the longest (0.5 K to 1 000 K,
-    1 nm to 10 um), where 3.2, 2.4 and 2.0 held at 1e-10, 1e-12 and 1e-13.
-    """
-    L = max(3, math.ceil((0.0264 / series_rel_tol) ** (1.0 / 7.0)))
-    zeta_end = 60.0
-    for _ in range(4):   # toward the fixed point of e^-z (z^2 + 4z + 6)/6 = series_rel_tol/10
-        zeta_end = math.log((zeta_end * (zeta_end + 4.0) + 6.0) / (0.6 * series_rel_tol))
-    width = 2.0 * (series_rel_tol / 1e-13) ** (1.0 / 16.0)
-    nodes = max(9, math.ceil(-2.5 * math.log10(series_rel_tol)))
-    if isinstance(atom, TabulatedAlpha):
-        return L, max(L, math.ceil(atom.xi[-1] / xi1) + 2), zeta_end, width, nodes
-    return L, L, zeta_end, width, nodes
-
-
 @lru_cache(maxsize=32)
 def _lobatto_matrix(nodes: int, start: int, top: int, first: int, stop: int):
     """(l_k, B) with g(l) ~ sum_k B[k, l - first] g(l_k) at the integers first <= l < stop.
@@ -378,7 +343,7 @@ def _middle_rows(tau: float, L: int, end: int, panels: int, nodes: int, alpha):
     On ``panels`` panels of equal width in ln l, which share their edge nodes, g(l) e^{tau l}
     is read from its ``nodes`` nodes (``_lobatto_matrix``) and alpha is summed term by term,
     W_k = e^{tau l_k} sum_l alpha(l) e^{-tau l} B_kl, in blocks whose order depends on the
-    panel alone.  ``_plan_sizes`` sizes ``nodes`` to series_rel_tol.
+    panel alone.  ``_plan`` sizes ``nodes`` to series_rel_tol.
     """
     edges = [L, *(round(L * (end / L) ** (p / panels)) for p in range(1, panels)), end]
     l_k, w_k = np.zeros((2, (nodes - 1) * panels + 1))
@@ -423,21 +388,92 @@ def _tail_points(tau, top: int, zeta_end: float, panels):
                             (half * w * nodes).ravel()]))
 
 
+def _plan(atom, T: float, tol: NumericalTolerances, a):
+    """(owner, l, zeta, weight, middle, extrapolated): the rows of the sums l >= 1 at ``a``.
+
+    Row i is the term l[i] at zeta[i] of separation a[owner[i]], weighted by
+    weight[i] + middle[i]/alpha(i xi_1 l[i]) (``middle`` is None when no
+    separation has one); extrapolated[j] is whether a[j] reads a tabulated
+    alpha above its last row.  The terms l < L are summed one by one and
+    l >= top as a tail (``_tail_points``) wherever a plain sum to zeta_l =
+    zeta_end takes more rows.  A tabulated alpha is only C^1 (PCHIP) up to
+    its last row and kinked there, so its tail starts above the table, at
+    top, and its middle L <= l < top is a product sum (``_middle_rows``)
+    wherever that takes fewer rows than its terms; otherwise top = L.  The
+    first separation over max_terms, in rows and middle alpha reads, raises
+    ConvergenceError before alpha is read.
+
+    Each size follows series_rel_tol, from one scan of 0.5 to 1e-13 against a
+    plain sum to zeta = 60 (six walls, five atoms, 4 K to 3 000 K, 1 nm to
+    100 um): the tail's error is at most 0.0132/L^7 of F, and L makes it half
+    of series_rel_tol, down to L = 3, which keeps the stencil point L - 3/2 at
+    a Matsubara term; zeta_end leaves a tenth of it to the remainder past the
+    cutoff, largest on an ideal metal with a static atom, e^-z (z^2 + 4z + 6)/6
+    of F (zeta_end is 28 at 1e-9 and 38 at the floor); the middle's
+    interpolation gains a digit per 2.5 nodes, with at least 9, as 5 and 6
+    missed 1e-2 and 1e-3 on the tabulated atoms.  The panel width (3.56 at
+    1e-9, 2 at the floor) is from a scan against the closed form of an ideal
+    metal with a static atom, whose tails are the longest (0.5 K to 1 000 K,
+    1 nm to 10 um), where 3.2, 2.4 and 2.0 held at 1e-10, 1e-12 and 1e-13.
+    """
+    L = max(3, math.ceil((0.0264 / tol.series_rel_tol) ** (1.0 / 7.0)))
+    zeta_end = 60.0
+    for _ in range(4):   # toward the fixed point of e^-z (z^2 + 4z + 6)/6 = series_rel_tol/10
+        zeta_end = math.log((zeta_end * (zeta_end + 4.0) + 6.0) / (0.6 * tol.series_rel_tol))
+    width = 2.0 * (tol.series_rel_tol / 1e-13) ** (1.0 / 16.0)
+    middle_nodes = max(9, math.ceil(-2.5 * math.log10(tol.series_rel_tol)))
+    n, tau, xi1 = a.size, matsubara_zeta(1, a, T), _sum_grid_span(T)[0]
+    tabulated = isinstance(atom, TabulatedAlpha)
+    top = max(L, math.ceil(atom.xi[-1] / xi1) + 2) if tabulated else L
+    plain = np.ceil(zeta_end / tau).astype(int)
+    panels = np.maximum(np.ceil(np.log(zeta_end / (tau * top)) / width), 1).astype(int)
+    em_cost = top - 1 + _STENCIL.size - 1 + panels * _TAIL_ORDER   # f(top - 1) is a head row
+    em = plain > em_cost
+    planned = np.where(em, em_cost, plain)
+    head = np.where(em, top - 1, plain)   # the terms whose alpha is read one by one
+    nodes = np.zeros(n, dtype=int)
+    if top > L:   # a tabulated alpha: a middle wherever its panels take fewer rows than its terms
+        middle = np.ceil(np.log(np.maximum(head, L + 1) / L) / math.log(_MIDDLE_RATIO)).astype(int)
+        nodes = (middle_nodes - 1) * middle + 1
+        nodes[head - L + 1 <= nodes] = 0
+    over = planned + nodes > tol.max_terms   # every row and alpha read, before any is made
+    if over.any():
+        i = int(np.argmax(over))   # the first such separation, in request order
+        raise ConvergenceError("Matsubara sum needs more evaluations than max_terms",
+                               max_terms=tol.max_terms, evaluations=int(planned[i] + nodes[i]),
+                               a=float(a[i]), T=T)
+    mids, exact = np.nonzero(nodes)[0], head.copy()
+    head[mids] = L - 1
+    head_l = np.arange(1, head.sum() + 1) - np.repeat(np.cumsum(head) - head, head)
+    parts = [(np.repeat(np.arange(n), head), head_l, np.ones(head_l.size))]   # owner, l, weight
+    if mids.size:
+        alpha_l = alpha_iw(atom, xi1 * np.arange(L, int(exact[mids].max()) + 1))
+        l_k, w_k = (np.concatenate(v) for v in zip(*(
+            _middle_rows(tau[i], L, int(exact[i]), int(middle[i]), middle_nodes, alpha_l)
+            for i in mids)))
+        parts.append((np.repeat(mids, nodes[mids]), l_k, np.zeros(l_k.size)))
+    if em.any():
+        tails = np.nonzero(em)[0]
+        i, tail_l, tail_w = _tail_points(tau[tails], top, zeta_end, panels[tails])
+        parts.append((tails[i], tail_l, tail_w))
+    owner, ls, weights = (np.concatenate(v) for v in zip(*parts))
+    # f(top - 1) of the stencil is the last head term or the last middle node
+    weights[em[owner] & (ls == top - 1)] += _STENCIL_WEIGHTS[_STENCIL == -1.0]
+    middle_w = np.pad(w_k, (head_l.size, ls.size - head_l.size - w_k.size)) if mids.size else None
+    # a tail starts above the table; a plain sum reads up to its last term
+    extrapolated = (em | (xi1 * plain > atom.xi[-1])) if tabulated else np.zeros(n, dtype=bool)
+    return owner, ls, tau[owner] * ls, weights, middle_w, extrapolated
+
+
 def free_energy_batch(requests) -> list:
     """Evaluate requests that share atom, wall, temperature and tolerances.
 
     The l = 0 term always uses f(0) with the metal/dielectric distinction
     (metal permittivities diverge at zero frequency, so eps(i xi) is never
-    queried there).  The terms l >= 1 of every separation are planned before
-    any is evaluated: a plain sum up to zeta_l = zeta_end when that is no
-    longer than the alternative, otherwise the terms l < top one by one and
-    the rest as an Euler-Maclaurin tail (``_plan_sizes``, ``_tail_points``).
-    The terms L <= l < top of a tabulated alpha, its middle, are a product
-    sum wherever that takes fewer rows (``_middle_rows``).  eps(i xi) and
-    alpha(i xi) are read once per row, in plan order, every per-frequency
-    integral of the batch goes through one ``_matsubara_integral_block``
-    call, and a request's ``n_terms_used`` is its row count.  Each result
-    equals ``free_energy`` of its request alone, in any order.
+    queried there).  The rows of ``_plan`` read eps(i xi) and alpha(i xi)
+    once each and are integrated in one ``_matsubara_integral_block`` call; a
+    request's ``n_terms_used`` is its row count.  Each result equals
+    ``free_energy`` of its request alone, in any order.
     """
     requests = list(requests)
     if not requests:
@@ -457,68 +493,32 @@ def free_energy_batch(requests) -> list:
                                  w + ["static polarizability is zero; free energy vanishes"])
                 for w in warnings]
     bracket0 = 2.0 * alpha0 * f0(wall)
-
-    # the plan: how many terms each separation sums one by one, its middle and its tail
-    n = len(requests)
-    tau = matsubara_zeta(1, np.array([r.a for r in requests]), T)
-    xi1, xi_top = _sum_grid_span(T)
-    L, top, zeta_end, width, middle_nodes = _plan_sizes(atom, tol.series_rel_tol, xi1)
-    plain = np.ceil(zeta_end / tau).astype(int)
-    panels = np.maximum(np.ceil(np.log(zeta_end / (tau * top)) / width), 1).astype(int)
-    em_cost = top - 1 + _STENCIL.size - 1 + panels * _TAIL_ORDER   # f(top - 1) is a head row
-    em = plain > em_cost
-    planned = np.where(em, em_cost, plain)
-    head = np.where(em, top - 1, plain)   # the terms whose alpha is read one by one
-    nodes = np.zeros(n, dtype=int)
-    if top > L:   # a tabulated alpha: a middle wherever its panels take fewer rows than its terms
-        middle = np.ceil(np.log(np.maximum(head, L + 1) / L) / math.log(_MIDDLE_RATIO)).astype(int)
-        nodes = (middle_nodes - 1) * middle + 1
-        nodes[head - L + 1 <= nodes] = 0
-    over = planned + nodes > tol.max_terms   # every row and alpha read, before any is made
-    if over.any():
-        i = int(np.argmax(over))   # the first such request, in request order
-        raise ConvergenceError("Matsubara sum needs more evaluations than max_terms",
-                               max_terms=tol.max_terms, evaluations=int(planned[i] + nodes[i]),
-                               a=requests[i].a, T=T)
-    mids, exact = np.nonzero(nodes)[0], head.copy()
-    head[mids] = L - 1
-    head_l = np.arange(1, head.sum() + 1) - np.repeat(np.cumsum(head) - head, head)
-    parts = [(np.repeat(np.arange(n), head), head_l, np.ones(head_l.size))]   # owner, l, weight
-    if mids.size:
-        alpha_l = alpha_iw(atom, xi1 * np.arange(L, int(exact[mids].max()) + 1))
-        l_k, w_k = (np.concatenate(v) for v in zip(*(
-            _middle_rows(tau[i], L, int(exact[i]), int(middle[i]), middle_nodes, alpha_l)
-            for i in mids)))
-        # a node's row is multiplied by alpha(l_k) below, as every row is
-        parts.append((np.repeat(mids, nodes[mids]), l_k, w_k / alpha_iw(atom, xi1 * l_k)))
-    if em.any():
-        tails = np.nonzero(em)[0]
-        i, tail_l, tail_w = _tail_points(tau[tails], top, zeta_end, panels[tails])
-        parts.append((tails[i], tail_l, tail_w))
-    owner, ls, weights = (np.concatenate(v) for v in zip(*parts))
-    # f(top - 1) of the stencil is the last head term or the last middle node
-    weights[em[owner] & (ls == top - 1)] += _STENCIL_WEIGHTS[_STENCIL == -1.0]
+    owner, ls, zeta, weights, middle, extrapolated = _plan(
+        atom, T, tol, np.array([r.a for r in requests]))
 
     # every row of the batch at once, in plan order; eps and alpha once per row
-    xis, zeta = xi1 * ls, tau[owner] * ls
+    xi1, xi_top = _sum_grid_span(T)
+    xis = xi1 * ls
     if isinstance(wall, IdealMetal):
         terms, nodes = ideal_metal_integral(zeta), np.zeros(ls.size, dtype=int)
     else:
         grid = eps_grid(wall, xi1, xi_top) if isinstance(wall, TabulatedKK) else None
         eps_l = eps_iw(wall, xis) if grid is None else grid(xis)
         terms, nodes, _ = _matsubara_integral_block(eps_l, zeta, tol.quad_rel_tol)
-    terms *= alpha_iw(atom, xis)
-    thermal = np.bincount(owner, weights * terms, minlength=n)
-    evaluations = np.bincount(owner, minlength=n)
-    max_nodes = np.zeros(n, dtype=int)
+    alpha = alpha_iw(atom, xis)
+    if middle is not None:
+        weights += middle / alpha
+    terms *= alpha
+    thermal = np.bincount(owner, weights * terms, minlength=len(requests))
+    evaluations = np.bincount(owner, minlength=len(requests))
+    max_nodes = np.zeros(len(requests), dtype=int)
     np.maximum.at(max_nodes, owner, nodes)
 
     results = []
     for i, req in enumerate(requests):
         prefactor = K_B * T / (8.0 * req.a ** 3)
         result_f = -prefactor * float(bracket0 + thermal[i])
-        # a tail starts above the table (_plan_sizes); a plain sum reads up to its last term
-        if isinstance(atom, TabulatedAlpha) and (em[i] or xi1 * plain[i] > atom.xi[-1]):
+        if extrapolated[i]:
             warnings[i].append("polarizability table extrapolated beyond its last row "
                                "(1/xi^2 tail)")
         results.append(FreeEnergyResult(

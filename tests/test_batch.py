@@ -19,11 +19,14 @@ from atomwall import (
     UsageError,
     alpha_iw,
     au_volume_to_si,
+    eps_iw,
     ev_to_angular,
     free_energy,
     free_energy_batch,
 )
+from atomwall import lifshitz
 from atomwall.dielectric import METAL
+from atomwall.lifshitz import _matsubara_integral_block, _plan, _sum_grid_span
 
 WALLS = [
     Plasma(ev_to_angular(9.0)),
@@ -148,14 +151,56 @@ def test_max_terms_bounds_the_alpha_reads_of_a_middle(monkeypatch):
 
 def test_max_quad_nodes_covers_summed_rows(helium_like_atom):
     # the node count is the largest over the rows summed, not the whole block
-    from atomwall import CODATA, eps_iw, matsubara_zeta
-    from atomwall.lifshitz import _matsubara_integral_block
-
     wall = Plasma(ev_to_angular(9.0))
     req = ComputationRequest(atom=helium_like_atom, wall=wall, a=1e-5, T=300.0)
-    res = free_energy(req)
-    ls = np.arange(1, res.n_terms_used + 1)
-    xi = 2.0 * np.pi * CODATA.k_B * req.T / CODATA.hbar * ls
-    _, nodes, _ = _matsubara_integral_block(eps_iw(wall, xi), matsubara_zeta(1, req.a, req.T) * ls,
-                                            req.tol.quad_rel_tol)
-    assert res.max_quad_nodes == nodes.max()
+    _, l, zeta, *_ = _plan(req.atom, req.T, req.tol, np.array([req.a]))
+    eps = eps_iw(wall, _sum_grid_span(req.T)[0] * l)
+    _, nodes, _ = _matsubara_integral_block(eps, zeta, req.tol.quad_rel_tol)
+    assert free_energy(req).max_quad_nodes == nodes.max()
+
+
+def _request_rows(plan, j):
+    """The float64 bytes of request j's rows (l, zeta, weight, middle weight), and its flag.
+
+    l is an integer array where no request of the plan has a tail.
+    """
+    owner, l, zeta, weight, middle, extrapolated = plan
+    middle = np.zeros(l.size) if middle is None else middle
+    return ([v[owner == j].astype(float).tobytes() for v in (l, zeta, weight, middle)]
+            + [extrapolated[j]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atom=st.sampled_from(ATOMS + [TABULATED_ATOM]),
+    # log10 of separations from 3 nm to 10 um, in no particular order
+    exponents=st.lists(st.floats(np.log10(3e-9), -5.0), min_size=2, max_size=6),
+    T=st.sampled_from([4.0, 300.0]),
+)
+def test_plan_gives_each_request_the_rows_it_gets_alone(atom, exponents, T):
+    # planned without any integration, so many batches are cheap to check
+    tol = NumericalTolerances()
+    a = 10.0 ** np.array(exponents)
+    batch = _plan(atom, T, tol, a)
+    for j, a_j in enumerate(a):
+        assert _request_rows(batch, j) == _request_rows(_plan(atom, T, tol, np.array([a_j])), 0)
+
+
+@pytest.mark.parametrize("name", ["eps_iw", "alpha_iw", "_matsubara_integral_block",
+                                  "_integrand_rows", "ideal_metal_integral", "gauss_laguerre",
+                                  "gauss_legendre"])
+def test_batch_calls_module_globals_at_call_time(monkeypatch, name):
+    # perfbench/tracer.py wraps these lifshitz names after import, and its selftest
+    # scales some of them: a batch must look each one up when it runs
+    calls = []
+    original = getattr(lifshitz, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lifshitz, name, recording)
+    wall = IdealMetal() if name == "ideal_metal_integral" else WALLS[0]
+    free_energy_batch([ComputationRequest(atom=ATOMS[1], wall=wall, a=a, T=300.0)
+                       for a in (3e-9, 1e-6)])
+    assert calls

@@ -48,6 +48,7 @@ from atomwall.dielectric import DIELECTRIC, METAL, DrudeLowFreq, OpticalTable, e
 from atomwall.lifshitz import (
     _integrand_rows,
     _matsubara_integral_block,
+    _plan,
     _row_constants,
     _sum_grid_span,
 )
@@ -556,21 +557,14 @@ class TestFreeEnergy:
                                                   a=1e-9, T=300.0, tol=tol)).free_energy
         assert f(quad_rel_tol) == pytest.approx(f(1e-13), rel=quad_rel_tol, abs=0.0)
 
-    def test_loosest_series_rel_tol_reads_no_term_below_one(self, monkeypatch,
-                                                           helium_like_atom):
+    def test_loosest_series_rel_tol_reads_no_term_below_one(self, helium_like_atom):
         # series_rel_tol 0.5 asks for L = 1 by the seventh root; the floor keeps
         # the stencil's L - 3/2 at a Matsubara term, where a metal's eps is finite
-        read = []
-
-        def recording(model, x):
-            read.append(np.min(x))
-            return eps_iw(model, x)
-
-        monkeypatch.setattr(lifshitz, "eps_iw", recording)
         tol = NumericalTolerances(series_rel_tol=0.5)
+        _, l, *_ = _plan(helium_like_atom, 300.0, tol, np.array([3e-9]))
+        assert l.min() >= 1.0
         res = free_energy(ComputationRequest(atom=helium_like_atom, wall=Plasma(1.37e16),
                                              a=3e-9, T=300.0, tol=tol))
-        assert min(read) >= _sum_grid_span(300.0)[0]
         assert np.isfinite(res.free_energy)
 
     def test_hard_window_rejection(self):
@@ -769,37 +763,39 @@ class TestPlainSumReference:
                                              wall=_REF_WALLS["plasma"], a=3e-8, T=4.0))
         assert res.n_terms_used <= 150
 
-    def test_middle_panels_share_their_edge_rows(self, monkeypatch):
+    def test_middle_panels_share_their_edge_rows(self):
         # at 4 K and 1 um the middle runs from 12 to 1 278 on two panels: 45 nodes, not 46
-        from atomwall import lifshitz
-
-        zetas, block = [], lifshitz._matsubara_integral_block
-
-        def recording(eps, zeta, rel_tol):
-            zetas.append(zeta)
-            return block(eps, zeta, rel_tol)
-
-        monkeypatch.setattr(lifshitz, "_matsubara_integral_block", recording)
-        res = free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"],
-                                             wall=_REF_WALLS["plasma"], a=1e-6, T=4.0))
-        assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == 11 + 45
+        _, l, _, _, middle, _ = _plan(_REF_ATOMS["tabulated"], 4.0, NumericalTolerances(),
+                                      np.array([1e-6]))
+        assert l.size == np.unique(l).size == 11 + 45
+        assert np.count_nonzero(middle) == 45
 
     @pytest.mark.parametrize("atom_name,a,T,rows", [
         ("oscillator", 3e-9, 300.0, 11 + 6 + 2 * 16),   # the head's last term at l = 11
         ("tabulated", 3e-8, 4.0, 11 + 67 + 6 + 16),     # the middle's last node at top - 1
     ])
-    def test_stencil_shares_the_row_at_top_minus_one(self, monkeypatch, atom_name, a, T, rows):
+    def test_stencil_shares_the_row_at_top_minus_one(self, atom_name, a, T, rows):
         # L - 1 head terms, the middle's nodes, 6 stencil points and 16 per tail panel
-        zetas, block = [], lifshitz._matsubara_integral_block
+        _, l, *_ = _plan(_REF_ATOMS[atom_name], T, NumericalTolerances(), np.array([a]))
+        assert l.size == np.unique(l).size == rows
 
-        def recording(eps, zeta, rel_tol):
-            zetas.append(zeta)
-            return block(eps, zeta, rel_tol)
+    def test_middle_reads_alpha_once_per_row(self, monkeypatch):
+        # alpha at a non-integer l is a row's only: its middle weight divides by that read
+        read = []
 
-        monkeypatch.setattr(lifshitz, "_matsubara_integral_block", recording)
-        res = free_energy(ComputationRequest(atom=_REF_ATOMS[atom_name],
-                                             wall=_REF_WALLS["plasma"], a=a, T=T))
-        assert res.n_terms_used == zetas[0].size == np.unique(zetas[0]).size == rows
+        def recording(model, x):
+            read.append(np.array(x, dtype=float).ravel())
+            return alpha_iw(model, x)
+
+        monkeypatch.setattr(lifshitz, "alpha_iw", recording)
+        free_energy(ComputationRequest(atom=_REF_ATOMS["tabulated"], wall=_REF_WALLS["plasma"],
+                                       a=3e-8, T=4.0))
+        xi = np.concatenate(read)
+        l = xi / _sum_grid_span(4.0)[0]
+        fractional, counts = np.unique(xi[np.abs(l - np.round(l)) > 1e-6], return_counts=True)
+        # 67 middle nodes but their 4 panel edges, 4 half-integer stencil points, 16 tail nodes
+        assert fractional.size == 63 + 4 + 16
+        assert counts.max() == 1
 
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("T", [4.0, 30.0, 300.0, 1000.0, 3000.0])
