@@ -11,8 +11,9 @@ Subcommands:
 Every command takes ``--out <path>`` (default stdout) and ``--format csv|json``
 (default from the config's output block).  Outputs are deterministic: the same
 config yields byte-identical bytes, and CSV files carry the config's SHA-256
-digest in a header comment.  The separations of one atom and wall model are
-evaluated as one ``free_energy_batch`` call, in a single thread.
+digest in a header comment.  The separations of one atom are evaluated as one
+``free_energy_batch`` call, in a single thread: ``table`` makes one call per
+distinct atom, with every wall paired with that atom.
 
 Exit codes: 0 success, 2 usage errors (including a config that cannot be read
 and an output that cannot be written), 3 config/validation errors,
@@ -81,19 +82,21 @@ def _require(config: RunConfig, *fields):
         raise ConfigError(f"config is missing required entries: {', '.join(missing)}")
 
 
-def _evaluate_separations(config: RunConfig, atom, wall):
-    """Free energies at all configured separations, in order, as one batch."""
-    return free_energy_batch(
+def _evaluate_separations(config: RunConfig, atom, walls):
+    """Free energies at all configured separations, per wall in order, as one batch."""
+    results = free_energy_batch(
         ComputationRequest(atom=atom, wall=wall, a=float(a), T=config.temperature,
                            tol=config.tolerances)
-        for a in config.separations
+        for wall in walls for a in config.separations
     )
+    n = len(config.separations)
+    return [results[i:i + n] for i in range(0, len(results), n)]
 
 
 def cmd_energy(config: RunConfig, stream, fmt: str) -> None:
     """One ``key=value`` line per separation; ``fmt`` does not apply."""
     _require(config, "atom", "wall", "separations", "temperature")
-    results = _evaluate_separations(config, config.atom, config.wall)
+    [results] = _evaluate_separations(config, config.atom, [config.wall])
     for a_nm, res in zip(config.separations_nm, results):
         fields = [
             f"a_nm={_fmt(a_nm)}",
@@ -111,7 +114,7 @@ def cmd_energy(config: RunConfig, stream, fmt: str) -> None:
 
 def cmd_sweep(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "atom", "wall", "separations", "temperature")
-    results = _evaluate_separations(config, config.atom, config.wall)
+    [results] = _evaluate_separations(config, config.atom, [config.wall])
     rows = [(a_nm, res.free_energy, res.normalized, res.n_terms_used)
             for a_nm, res in zip(config.separations_nm, results)]
     _emit(config, stream, fmt, ("a_nm", "free_energy_J", "normalized", "n_terms"), rows)
@@ -121,10 +124,16 @@ def cmd_table(config: RunConfig, stream, fmt: str) -> None:
     _require(config, "atom", "wall", "separations", "temperature")
     if not config.variants:
         raise ConfigError("table command needs a reference block and at least one variant")
-    reference = _evaluate_separations(config, config.atom, config.wall)
-    if any(ref.free_energy == 0.0 for ref in reference):
-        raise UsageError("reference free energy vanishes; factors undefined")
-    variants = [_evaluate_separations(config, v.atom, v.wall) for v in config.variants]
+    pairs = [(config.atom, config.wall), *((v.atom, v.wall) for v in config.variants)]
+    results = {}
+    for atom in dict.fromkeys(atom for atom, _ in pairs):   # the reference's atom first
+        members = [k for k, (other, _) in enumerate(pairs) if other == atom]
+        results.update(zip(members, _evaluate_separations(
+            config, atom, [pairs[k][1] for k in members])))
+        # checked after the reference's batch, before any other atom is evaluated
+        if any(ref.free_energy == 0.0 for ref in results[0]):
+            raise UsageError("reference free energy vanishes; factors undefined")
+    reference, *variants = (results[k] for k in range(len(pairs)))
     rows = [(a_nm, abs(ref.free_energy), *(var.free_energy / ref.free_energy for var in row))
             for a_nm, ref, *row in zip(config.separations_nm, reference, *variants)]
     columns = (*TABLE_COLUMNS, *(v.label for v in config.variants))

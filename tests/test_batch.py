@@ -1,5 +1,7 @@
 """Batched evaluation: each separation's result is the one it gets alone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from atomwall import (
 from atomwall import lifshitz
 from atomwall.dielectric import METAL
 from atomwall.lifshitz import _matsubara_integral_block, _plan, _sum_grid_span
+
+from conftest import make_drude_table
 
 WALLS = [
     Plasma(ev_to_angular(9.0)),
@@ -68,11 +72,43 @@ def test_batch_equals_single_on_tabulated_wall(drude_table, helium_like_atom):
     assert free_energy_batch(requests) == [free_energy(r) for r in requests]
 
 
-def test_batch_rejects_mixed_models(helium_like_atom):
-    tight = NumericalTolerances(series_rel_tol=1e-12)
-    mixed = [ComputationRequest(atom=helium_like_atom, wall=IdealMetal(), a=1e-7, T=300.0),
-             ComputationRequest(atom=helium_like_atom, wall=IdealMetal(), a=1e-7, T=300.0,
-                                tol=tight)]
+def _bits(result):
+    """Every field of a result, floats as their hex bits."""
+    return (result.free_energy.hex(), result.classical_term.hex(), result.thermal_term.hex(),
+            result.n_terms_used, result.max_quad_nodes, result.normalized.hex(), result.warnings)
+
+
+# the tabulated wall is built once, so its eps_grid is too
+BATCH_WALLS = WALLS + [TabulatedKK(make_drude_table(200), METAL)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    walls=st.lists(st.sampled_from(BATCH_WALLS), min_size=2, max_size=4, unique_by=id),
+    atom=st.sampled_from(ATOMS + [TABULATED_ATOM]),
+    # log10 of separations from 3 nm to 10 um
+    exponents=st.lists(st.floats(np.log10(3e-9), -5.0), min_size=1, max_size=4),
+    T=st.sampled_from([4.0, 300.0]),
+    data=st.data(),
+)
+def test_batch_of_walls_gives_each_request_its_result_alone(walls, atom, exponents, T, data):
+    # every wall at the first separation, then pairs drawn with repeats, in any order
+    pairs = [(w, 10.0 ** e) for w in walls for e in exponents]
+    chosen = pairs[::len(exponents)] + data.draw(st.lists(st.sampled_from(pairs), max_size=8))
+    requests = [ComputationRequest(atom=atom, wall=w, a=a, T=T)
+                for w, a in data.draw(st.permutations(chosen))]
+    batch = free_energy_batch(requests)
+    assert [_bits(r) for r in batch] == [_bits(free_energy(r)) for r in requests]
+
+
+@pytest.mark.parametrize("field,other", [
+    ("tol", NumericalTolerances(series_rel_tol=1e-12)),
+    ("atom", StaticAlpha(au_volume_to_si(315.63))),
+    ("T", 77.0),
+])
+def test_batch_rejects_mixed_models(helium_like_atom, field, other):
+    first = ComputationRequest(atom=helium_like_atom, wall=IdealMetal(), a=1e-7, T=300.0)
+    mixed = [first, replace(first, wall=WALLS[0], **{field: other})]
     with pytest.raises(UsageError):
         free_energy_batch(mixed)
     assert free_energy_batch([]) == []

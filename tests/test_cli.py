@@ -149,6 +149,27 @@ class TestTable:
         result = run_cli("table", "--config", str(cfg))
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("variants", [
+        [{"label": "ideal", "wall": {"model": "ideal_metal"}}],
+        # max_terms 1 fails the oscillator atom's sum (exit 4) if it is evaluated
+        # before the reference is checked
+        [{"label": "ideal", "wall": {"model": "ideal_metal"}},
+         {"label": "oscillator", "atom": {"model": "oscillators", "entries": [[1.18, 0.5935]]}},
+         {"label": "plasma", "wall": {"model": "plasma", "omega_p_eV": 5.0}}],
+    ], ids=["variant_shares_the_atom", "variant_atom_that_cannot_converge"])
+    def test_vanishing_reference_exits_2(self, tmp_path, variants):
+        doc = {
+            "temperature_K": 300.0,
+            "separations_nm": {"list": [10.0, 100.0]},
+            "reference": {"atom": {"model": "static", "alpha0_au": 0.0},
+                          "wall": {"model": "plasma", "omega_p_eV": 9.0}},
+            "variants": variants,
+            "tolerances": {"max_terms": 1},
+        }
+        result = run_cli("table", "--config", str(write_config(tmp_path, doc)))
+        _assert_one_error_line(result, 2)
+        assert "reference free energy vanishes" in result.stderr
+
 
 class TestDumps:
     def test_epsilon_plasma_hits_two_at_omega_p(self, tmp_path):
@@ -255,6 +276,26 @@ class TestTableWithTabulatedReference:
             assert plasma < ideal
         # reference magnitudes fall with separation
         assert float(rows[0][1]) > float(rows[1][1]) > float(rows[2][1])
+
+    def test_plans_each_atom_once(self, tmp_path, monkeypatch):
+        # the reference, ideal-metal and plasma columns share the tabulated atom's
+        # plan; the single-oscillator column has its own
+        from atomwall import cli, lifshitz
+
+        from test_golden import _write_tabulated_configs
+
+        planned = []
+        plan = lifshitz._plan
+
+        def counting(atom, T, tol, a):
+            planned.append(atom)
+            return plan(atom, T, tol, a)
+
+        monkeypatch.setattr(lifshitz, "_plan", counting)
+        _write_tabulated_configs(tmp_path)
+        assert cli.main(["table", "--config", str(tmp_path / "table.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert [type(atom).__name__ for atom in planned] == ["TabulatedAlpha", "OscillatorSet"]
 
 
 def _assert_one_error_line(result, code):
