@@ -105,8 +105,9 @@ def test_batch_of_walls_gives_each_request_its_result_alone(walls, atom, exponen
     ("tol", NumericalTolerances(series_rel_tol=1e-12)),
     ("atom", StaticAlpha(au_volume_to_si(315.63))),
     ("T", 77.0),
-])
+], ids=["tolerances", "atoms", "temperatures"])
 def test_batch_rejects_mixed_models(helium_like_atom, field, other):
+    # walls may differ within a batch; atom, temperature and tolerances may not
     first = ComputationRequest(atom=helium_like_atom, wall=IdealMetal(), a=1e-7, T=300.0)
     mixed = [first, replace(first, wall=WALLS[0], **{field: other})]
     with pytest.raises(UsageError):
