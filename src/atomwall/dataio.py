@@ -94,7 +94,7 @@ def _read_model(path, n_cols: int, build):
 
 
 def parse_optical_table(path, drude: DrudeLowFreq | None = None,
-                        high_exponent: float = 3.0) -> OpticalTable:
+                        high_exponent: float = OpticalTable.high_exponent) -> OpticalTable:
     """Load an `energy_eV n k` file into an OpticalTable (SI frequencies)."""
     return _read_model(path, 3, lambda energy, n, k: OpticalTable(
         energy * EV_TO_RAD_PER_S, n, k, low_ext=drude, high_exponent=high_exponent))
@@ -124,6 +124,12 @@ _TOP_LEVEL_KEYS = {
     "temperature_K", "separations_nm", "atom", "wall", "reference", "variants",
     "grid", "tolerances", "kk", "output",
 }
+# the keys of each model tag besides "model"
+_ATOM_KEYS = {"static": {"alpha0_au", "alpha0_m3"}, "oscillators": {"file", "entries"},
+              "tabulated_alpha": {"file"}}
+_WALL_KEYS = {"ideal_metal": set(), "plasma": {"omega_p_eV", "omega_p_rad_s"},
+              "static": {"eps0"}, "ninham_parsegian": {"terms"},
+              "tabulated": {"file", "kind", "drude", "high_exponent"}}
 # the table command's fixed columns; variant labels name the others
 TABLE_COLUMNS = ("a_nm", "abs_free_energy_ref_J")
 
@@ -177,10 +183,23 @@ def _resolve(base: Path, spec: dict) -> Path:
     return p
 
 
-def _build_atom(spec: dict, base: Path):
+def _check_keys(spec, block: str, known):
+    """Raise a ConfigError naming ``block`` ("" at the top level) and spec's keys not in ``known``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{block or 'config root'} must be a JSON object")
+    unknown = set(spec) - set(known)
+    if unknown:
+        where = f"{block}: " if block else ""
+        raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
+
+
+def _build_atom(spec: dict, base: Path, block: str):
     if not isinstance(spec, dict) or "model" not in spec:
         raise ConfigError("atom spec must be an object with a 'model' tag")
     model = spec["model"]
+    if model not in _ATOM_KEYS:
+        raise ConfigError(f"unknown atom model tag {model!r}")
+    _check_keys(spec, block, {"model", *_ATOM_KEYS[model]})
     if model == "static":
         if "alpha0_au" in spec:
             return StaticAlpha(float(spec["alpha0_au"]) * AU_POLARIZABILITY)
@@ -197,17 +216,18 @@ def _build_atom(spec: dict, base: Path):
             except ValidationError as err:
                 raise err if err.row is None else ValidationError(f"entries[{err.row}]: {err}")
         raise ConfigError("oscillators atom needs 'file' or 'entries' ([omega_eV, f0n] pairs)")
-    if model == "tabulated_alpha":
-        if "file" not in spec:
-            raise ConfigError("tabulated_alpha atom needs 'file'")
-        return parse_alpha_table(_resolve(base, spec))
-    raise ConfigError(f"unknown atom model tag {model!r}")
+    if "file" not in spec:
+        raise ConfigError("tabulated_alpha atom needs 'file'")
+    return parse_alpha_table(_resolve(base, spec))
 
 
-def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
+def _build_wall(spec: dict, base: Path, kk_settings: KKSettings, block: str):
     if not isinstance(spec, dict) or "model" not in spec:
         raise ConfigError("wall spec must be an object with a 'model' tag")
     model = spec["model"]
+    if model not in _WALL_KEYS:
+        raise ConfigError(f"unknown wall model tag {model!r}")
+    _check_keys(spec, block, {"model", *_WALL_KEYS[model]})
     if model == "ideal_metal":
         return IdealMetal()
     if model == "plasma":
@@ -225,26 +245,26 @@ def _build_wall(spec: dict, base: Path, kk_settings: KKSettings):
         if not terms:
             raise ConfigError("ninham_parsegian wall needs 'terms' ([C_j, omega_j_eV] pairs)")
         return NinhamParsegian(tuple((float(c), float(w) * EV_TO_RAD_PER_S) for c, w in terms))
-    if model == "tabulated":
-        if "file" not in spec or "kind" not in spec:
-            raise ConfigError("tabulated wall needs 'file' and 'kind' (metal | dielectric)")
-        drude = None
-        if "drude" in spec:
-            d = spec["drude"]
-            drude = DrudeLowFreq(omega_p=float(d["omega_p_eV"]) * EV_TO_RAD_PER_S,
-                                 nu=float(d["nu_eV"]) * EV_TO_RAD_PER_S)
-        high_exponent = float(spec.get("high_exponent", 3.0))
-        # built inside the reader: a fault of the table's rows names the table, not the config
-        return _read_model(_resolve(base, spec), 3, lambda energy, n, k: TabulatedKK(
-            OpticalTable(energy * EV_TO_RAD_PER_S, n, k, low_ext=drude,
-                         high_exponent=high_exponent),
-            spec["kind"], settings=kk_settings))
-    raise ConfigError(f"unknown wall model tag {model!r}")
+    if "file" not in spec or "kind" not in spec:
+        raise ConfigError("tabulated wall needs 'file' and 'kind' (metal | dielectric)")
+    drude = None
+    if "drude" in spec:
+        d = spec["drude"]
+        _check_keys(d, f"{block}.drude", {"omega_p_eV", "nu_eV"})
+        drude = DrudeLowFreq(omega_p=float(d["omega_p_eV"]) * EV_TO_RAD_PER_S,
+                             nu=float(d["nu_eV"]) * EV_TO_RAD_PER_S)
+    high_exponent = float(spec.get("high_exponent", OpticalTable.high_exponent))
+    # built inside the reader: a fault of the table's rows names the table, not the config
+    return _read_model(_resolve(base, spec), 3, lambda energy, n, k: TabulatedKK(
+        OpticalTable(energy * EV_TO_RAD_PER_S, n, k, low_ext=drude,
+                     high_exponent=high_exponent),
+        spec["kind"], settings=kk_settings))
 
 
 def _parse_separations(spec) -> tuple[np.ndarray, list]:
     if not isinstance(spec, dict):
         raise ConfigError("separations_nm must be {'list': [...]} or {'log_range': [lo, hi, n]}")
+    _check_keys(spec, "separations_nm", {"list", "log_range"})
     if "list" in spec:
         a_nm = np.asarray([float(x) for x in spec["list"]], dtype=float)
     elif "log_range" in spec:
@@ -290,11 +310,7 @@ def parse_run_config(path) -> RunConfig:
 
 
 def _build_config(doc, base: Path, digest: str) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    _check_keys(doc, "", _TOP_LEVEL_KEYS)
 
     tolerances = _parse_tolerances(doc.get("tolerances"))
     kk_settings = _parse_kk(doc.get("kk"))
@@ -305,6 +321,7 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
     if reference is not None:
         if atom_spec is not None or wall_spec is not None:
             raise ConfigError("give either top-level atom/wall or a reference block, not both")
+        _check_keys(reference, "reference", {"atom", "wall"})
         if "atom" not in reference or "wall" not in reference:
             raise ConfigError("reference block needs both atom and wall")
         atom_spec = reference["atom"]
@@ -312,12 +329,16 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
     if doc.get("variants") and reference is None:
         raise ConfigError("variants require a reference block")
 
-    atom = _build_atom(atom_spec, base) if atom_spec is not None else None
-    wall = _build_wall(wall_spec, base, kk_settings) if wall_spec is not None else None
+    where = "reference." if reference is not None else ""
+    atom = _build_atom(atom_spec, base, f"{where}atom") if atom_spec is not None else None
+    wall = (_build_wall(wall_spec, base, kk_settings, f"{where}wall")
+            if wall_spec is not None else None)
 
     variants = []
     columns = set(TABLE_COLUMNS)
     for i, vspec in enumerate(doc.get("variants", [])):
+        block = f"variants[{i}]"
+        _check_keys(vspec, block, {"label", "atom", "wall"})
         label = vspec.get("label")
         if not isinstance(label, str) or not label:
             raise ConfigError(f"variant {i} needs a label")
@@ -329,8 +350,9 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
             raise ConfigError(f"variant {label!r} overrides neither atom nor wall")
         variants.append(Variant(
             label=label,
-            atom=_build_atom(vspec["atom"], base) if "atom" in vspec else atom,
-            wall=_build_wall(vspec["wall"], base, kk_settings) if "wall" in vspec else wall,
+            atom=_build_atom(vspec["atom"], base, f"{block}.atom") if "atom" in vspec else atom,
+            wall=(_build_wall(vspec["wall"], base, kk_settings, f"{block}.wall")
+                  if "wall" in vspec else wall),
         ))
 
     separations = separations_nm = None
@@ -346,6 +368,7 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
     grid = None
     if "grid" in doc:
         grid_spec = doc["grid"]
+        _check_keys(grid_spec, "grid", {"xi_min_eV", "xi_max_eV", "points"})
         try:
             grid = GridSpec(
                 xi_min=float(grid_spec["xi_min_eV"]) * EV_TO_RAD_PER_S,
@@ -356,6 +379,7 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
             raise ConfigError("grid needs xi_min_eV and xi_max_eV") from err
 
     out = doc.get("output", {})
+    _check_keys(out, "output", {"format", "path"})
     output_format = out.get("format", "csv")
     if output_format not in ("csv", "json"):
         raise ConfigError("output format must be csv or json")
@@ -374,9 +398,7 @@ def _parse_tolerances(spec) -> NumericalTolerances:
     if spec is None:
         return NumericalTolerances()
     casts = {"series_rel_tol": float, "quad_rel_tol": float, "max_terms": int}
-    unknown = set(spec) - set(casts)
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
+    _check_keys(spec, "tolerances", casts)
     return NumericalTolerances(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})
 
 
@@ -384,7 +406,5 @@ def _parse_kk(spec) -> KKSettings:
     if spec is None:
         return KKSettings()
     # grid_points_per_decade is accepted, for older configs, and has no effect
-    unknown = set(spec) - {"rel_tol", "grid_points_per_decade"}
-    if unknown:
-        raise ConfigError(f"unknown kk keys {sorted(unknown)}")
+    _check_keys(spec, "kk", {"rel_tol", "grid_points_per_decade"})
     return KKSettings(**{k: v for k, v in spec.items() if k == "rel_tol"})

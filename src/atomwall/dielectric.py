@@ -124,14 +124,12 @@ class OpticalTable:
         )
         object.__setattr__(self, "_slope_n", _segment_slopes(omega, n))
         object.__setattr__(self, "_slope_k", _segment_slopes(omega, k))
-        # low-end power law eps'' ~ e0 (w/w0)^p fitted to the first segment;
-        # slope is None when the first segment cannot define one
+        # low-end power law eps'' ~ e0 (w/w0)^p fitted to the first segment; p is
+        # kept only if it is positive, i.e. eps'' falls toward zero frequency
         e0, e1 = float(eps2[0]), float(eps2[1])
-        slope = None
-        if e0 > 0.0 and e1 > 0.0:
-            slope = math.log(e1 / e0) / math.log(omega[1] / omega[0])
+        slope = math.log(e1 / e0) / math.log(omega[1] / omega[0]) if 0.0 < e0 < e1 else 0.0
         object.__setattr__(self, "_low_e0", e0)
-        object.__setattr__(self, "_low_slope", slope)
+        object.__setattr__(self, "_low_slope", slope if slope > 0.0 else None)
 
     @property
     def omega_min(self) -> float:
@@ -177,7 +175,7 @@ def _eps2_below_range(table: OpticalTable, omega):
         return table.low_ext.eps2(omega)
     if table._low_e0 == 0.0:
         return np.zeros_like(omega)
-    if table._low_slope is None or table._low_slope <= 0.0:
+    if table._low_slope is None:
         raise ConfigError(
             "optical table rises toward zero frequency (metal-like) but has no "
             "Drude completion parameters; supply them to query below "
@@ -239,7 +237,7 @@ def _completion_panels(table: OpticalTable, xs):
     if table.low_ext is not None:
         knee = np.minimum(min(table.omega_min, table.low_ext.nu), xs)
         low = np.ceil(np.log(table.omega_min / knee)) + _E_FOLDS
-    elif table._low_e0 == 0.0 or not (table._low_slope or 0.0) > 0.0:
+    elif table._low_slope is None:
         low = np.full_like(xs, table._low_e0 > 0.0)
     else:
         p = table._low_slope
@@ -405,7 +403,7 @@ class TabulatedKK:
         if kind == DIELECTRIC:
             if table.low_ext is not None:
                 raise ConfigError("a dielectric table must not carry a Drude completion")
-            if table._low_e0 > 0.0 and (table._low_slope is None or table._low_slope <= 0.0):
+            if table._low_e0 > 0.0 and table._low_slope is None:
                 raise ValidationError(
                     "dielectric table fails the zero-frequency convergence check: "
                     "eps'' must decay toward zero frequency"

@@ -391,17 +391,17 @@ def _tail_points(tau, top: int, zeta_end: float, panels):
 def _plan(atom, T: float, tol: NumericalTolerances, a):
     """(owner, l, zeta, weight, middle, extrapolated): the rows of the sums l >= 1 at ``a``.
 
-    Row i is the term l[i] at zeta[i] of separation a[owner[i]], weighted by
-    weight[i] + middle[i]/alpha(i xi_1 l[i]) (``middle`` is None when no
-    separation has one); extrapolated[j] is whether a[j] reads a tabulated
-    alpha above its last row.  The terms l < L are summed one by one and
-    l >= top as a tail (``_tail_points``) wherever a plain sum to zeta_l =
-    zeta_end takes more rows.  A tabulated alpha is only C^1 (PCHIP) up to
-    its last row and kinked there, so its tail starts above the table, at
-    top, and its middle L <= l < top is a product sum (``_middle_rows``)
-    wherever that takes fewer rows than its terms; otherwise top = L.  The
-    first separation over max_terms, in rows and middle alpha reads, raises
-    ConvergenceError before alpha is read.
+    Row i adds (weight[i] alpha(i xi_1 l[i]) + middle[i]) g, with g the
+    per-frequency integral at zeta[i] of separation a[owner[i]]: a middle node's
+    alpha is already in ``middle``.  extrapolated[j] is whether a[j] reads a
+    tabulated alpha above its last row.  The terms l < L are summed one by one
+    and l >= top as a tail (``_tail_points``) wherever a plain sum to zeta_l =
+    zeta_end takes more rows.  A tabulated alpha is only C^1 (PCHIP) up to its
+    last row and kinked there, so its tail starts above the table, at top, and
+    its middle L <= l < top is a product sum (``_middle_rows``) wherever that
+    takes fewer rows than its terms; otherwise top = L.  The first separation
+    over max_terms, in rows and middle alpha reads, raises ConvergenceError
+    before alpha is read.
 
     Each size follows series_rel_tol, from one scan of 0.5 to 1e-13 against a
     plain sum to zeta = 60 (six walls, five atoms, 4 K to 3 000 K, 1 nm to
@@ -445,21 +445,20 @@ def _plan(atom, T: float, tol: NumericalTolerances, a):
     mids, exact = np.nonzero(nodes)[0], head.copy()
     head[mids] = L - 1
     head_l = np.arange(1, head.sum() + 1) - np.repeat(np.cumsum(head) - head, head)
-    parts = [(np.repeat(np.arange(n), head), head_l, np.ones(head_l.size))]   # owner, l, weight
+    parts = [(np.repeat(np.arange(n), head), head_l, np.ones(head_l.size),
+              np.zeros(head_l.size))]   # owner, l, weight, middle
     if mids.size:
         alpha_l = alpha_iw(atom, xi1 * np.arange(L, int(exact[mids].max()) + 1))
         l_k, w_k = (np.concatenate(v) for v in zip(*(
             _middle_rows(tau[i], L, int(exact[i]), int(middle[i]), middle_nodes, alpha_l)
             for i in mids)))
-        parts.append((np.repeat(mids, nodes[mids]), l_k, np.zeros(l_k.size)))
-    if em.any():
-        tails = np.nonzero(em)[0]
-        i, tail_l, tail_w = _tail_points(tau[tails], top, zeta_end, panels[tails])
-        parts.append((tails[i], tail_l, tail_w))
-    owner, ls, weights = (np.concatenate(v) for v in zip(*parts))
+        parts.append((np.repeat(mids, nodes[mids]), l_k, np.zeros(l_k.size), w_k))
+    tails = np.nonzero(em)[0]
+    i, tail_l, tail_w = _tail_points(tau[tails], top, zeta_end, panels[tails])
+    parts.append((tails[i], tail_l, tail_w, np.zeros(tail_l.size)))
+    owner, ls, weights, middle_w = (np.concatenate(v) for v in zip(*parts))
     # f(top - 1) of the stencil is the last head term or the last middle node
     weights[em[owner] & (ls == top - 1)] += _STENCIL_WEIGHTS[_STENCIL == -1.0]
-    middle_w = np.pad(w_k, (head_l.size, ls.size - head_l.size - w_k.size)) if mids.size else None
     # a tail starts above the table; a plain sum reads up to its last term
     extrapolated = (em | (xi1 * plain > atom.xi[-1])) if tabulated else np.zeros(n, dtype=bool)
     return owner, ls, tau[owner] * ls, weights, middle_w, extrapolated
@@ -468,14 +467,15 @@ def _plan(atom, T: float, tol: NumericalTolerances, a):
 def free_energy_batch(requests) -> list:
     """Evaluate requests that share atom, temperature and tolerances; walls may differ.
 
-    The l = 0 term always uses f(0) with the metal/dielectric distinction
-    (metal permittivities diverge at zero frequency, so eps(i xi) is never
-    queried there).  ``_plan`` makes the rows of each distinct separation once,
-    in order of first appearance, and alpha(i xi) is read once per row; each
-    distinct wall then reads eps(i xi) once per row of its separations and
-    integrates them in one ``_matsubara_integral_block`` call.  A request's
-    ``n_terms_used`` is its row count.  Each result equals ``free_energy`` of
-    its request alone, in any order and next to any other wall.
+    The l = 0 term always uses f(0) with the metal/dielectric distinction (metal
+    permittivities diverge at zero frequency, so eps(i xi) is never queried
+    there).  ``_plan`` makes the rows of each distinct separation once, in order
+    of first appearance, and alpha(i xi) is read once per row whose weight is
+    not 0; each distinct wall then reads eps(i xi) once per row of its
+    separations and integrates them in one ``_matsubara_integral_block`` call.
+    A request's ``n_terms_used`` is its row count.  Each result equals
+    ``free_energy`` of its request alone, in any order and next to any other
+    wall.
     """
     requests = list(requests)
     if not requests:
@@ -501,12 +501,11 @@ def free_energy_batch(requests) -> list:
     owner, ls, zeta, weights, middle, extrapolated = _plan(
         atom, T, tol, np.array(list(separations)))
 
-    # every row once, in plan order: alpha once per row, then eps once per row and wall
+    # every row once, in plan order: alpha where a weight takes it, then eps per row and wall
     xi1, xi_top = _sum_grid_span(T)
     xis = xi1 * ls
-    alpha = alpha_iw(atom, xis)
-    if middle is not None:
-        weights += middle / alpha
+    alpha, read = np.zeros(ls.size), weights != 0.0
+    alpha[read] = alpha_iw(atom, xis[read])
     thermal = np.zeros((len(walls), len(separations)))
     max_nodes = np.zeros(thermal.shape, dtype=int)
     for w, wall in enumerate(walls):
@@ -520,8 +519,8 @@ def free_energy_batch(requests) -> list:
             eps_l = eps_iw(wall, xis[rows]) if grid is None else grid(xis[rows])
             terms, nodes, _ = _matsubara_integral_block(eps_l, zeta[rows], tol.quad_rel_tol)
             np.maximum.at(max_nodes[w], owner[rows], nodes)
-        terms *= alpha[rows]
-        thermal[w] = np.bincount(owner[rows], weights[rows] * terms, minlength=len(separations))
+        terms = weights[rows] * (alpha[rows] * terms) + middle[rows] * terms
+        thermal[w] = np.bincount(owner[rows], terms, minlength=len(separations))
 
     evaluations = np.bincount(owner, minlength=len(separations)).tolist()
     thermal, max_nodes, extrapolated = thermal.tolist(), max_nodes.tolist(), extrapolated.tolist()

@@ -91,14 +91,6 @@ class TabulatedAlpha:
         object.__setattr__(self, "_interp", pchip(xi, alpha))
         object.__setattr__(self, "_tail_c", float(alpha[-1] * xi[-1] ** 2))
 
-    def __call__(self, xi):
-        x = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty_like(x)
-        above = x > self.xi[-1]
-        out[above] = self._tail_c / x[above] ** 2
-        out[~above] = self._interp(x[~above])
-        return out
-
 
 def alpha_iw(model, xi):
     """alpha(i xi) in m^3 at imaginary frequency xi [rad/s], scalar or array."""
@@ -116,7 +108,9 @@ def alpha_iw(model, xi):
             f[None, :] / (w[None, :] ** 2 + flat[:, None] ** 2), axis=1
         )
     elif isinstance(model, TabulatedAlpha):
-        out = model(flat)
+        out, above = np.empty_like(flat), flat > model.xi[-1]
+        out[above] = model._tail_c / flat[above] ** 2
+        out[~above] = model._interp(flat[~above])
     else:
         raise DomainError(f"unknown polarizability model {type(model).__name__}")
     return float(out[0]) if scalar else out.reshape(arr.shape)
@@ -137,13 +131,12 @@ def fit_single_oscillator(model) -> OscillatorSet:
     if isinstance(model, StaticAlpha):
         raise DomainError("a static polarizability carries no spectral information to fit")
     if isinstance(model, OscillatorSet):
-        alpha0 = static_alpha(model)
         c_inf = OSCILLATOR_PREFACTOR * model.strength_sum
     elif isinstance(model, TabulatedAlpha):
-        alpha0 = float(model.alpha[0])
         c_inf = model._tail_c
     else:
         raise DomainError(f"unknown polarizability model {type(model).__name__}")
+    alpha0 = static_alpha(model)
     omega0 = math.sqrt(c_inf / alpha0)
     f_eff = alpha0 * omega0 ** 2 / OSCILLATOR_PREFACTOR
     return OscillatorSet((f_eff,), (omega0,))

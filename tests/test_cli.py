@@ -396,6 +396,58 @@ class TestExitCodes:
         assert result.stderr.startswith(f"error: {cfg}: ")
         assert message in result.stderr
 
+    _DRUDE = {"omega_p_eV": 9.0, "nu_eV": 0.035}
+    _REFERENCE = {"atom": {"model": "static", "alpha0_au": 315.63},
+                  "wall": {"model": "plasma", "omega_p_eV": 9.0}}
+
+    @pytest.mark.parametrize("case, block, key", [
+        ({"mystery": 1}, "", "mystery"),
+        ({"atom": {"model": "static", "alpha0_au": 315.63, "alpha0_ua": 1.0}}, "atom",
+         "alpha0_ua"),
+        ({"atom": {"model": "oscillators", "entries": [[1.18, 0.5935]], "entry": []}}, "atom",
+         "entry"),
+        ({"atom": {"model": "tabulated_alpha", "file": "alpha.dat", "xi_eV": 1.0}}, "atom",
+         "xi_eV"),
+        ({"wall": {"model": "ideal_metal", "eps0": 2.0}}, "wall", "eps0"),
+        ({"wall": {"model": "plasma", "omega_p_eV": 9.0, "omega_p_ev": 7.0}}, "wall",
+         "omega_p_ev"),
+        ({"wall": {"model": "static", "eps0": 3.84, "eps_0": 2.0}}, "wall", "eps_0"),
+        ({"wall": {"model": "ninham_parsegian", "terms": [[1.93, 0.13]], "term": []}}, "wall",
+         "term"),
+        ({"wall": dict(_METAL, drude=_DRUDE, high_exp=1.5)}, "wall", "high_exp"),
+        ({"wall": dict(_METAL, drude=dict(_DRUDE, nu_ev=0.1))}, "wall.drude", "nu_ev"),
+        ({"reference": dict(_REFERENCE, variant=[])}, "reference", "variant"),
+        ({"reference": dict(_REFERENCE, atom={"model": "static", "alpha0_au": 1.0, "au": 1})},
+         "reference.atom", "au"),
+        ({"reference": _REFERENCE, "variants": [{"label": "v", "wall": {"model": "ideal_metal"},
+                                                 "atoms": {}}]}, "variants[0]", "atoms"),
+        ({"reference": _REFERENCE, "variants": [
+            {"label": "v", "wall": {"model": "ideal_metal"}},
+            {"label": "w", "wall": {"model": "static", "eps0": 3.84, "eps": 2.0}}]},
+         "variants[1].wall", "eps"),
+        ({"grid": {"xi_min_eV": 0.1, "xi_max_eV": 10.0, "point": 3}}, "grid", "point"),
+        ({"output": {"fromat": "json"}}, "output", "fromat"),
+        ({"separations_nm": {"list": [10.0], "lst": [20.0]}}, "separations_nm", "lst"),
+        ({"tolerances": {"max_term": 10}}, "tolerances", "max_term"),
+        ({"kk": {"rel_tol": 1e-8, "reltol": 1e-6}}, "kk", "reltol"),
+    ], ids=["top_level", "static_atom", "oscillators_atom", "tabulated_alpha_atom",
+            "ideal_metal_wall", "plasma_wall", "static_wall", "ninham_parsegian_wall",
+            "tabulated_wall", "drude", "reference", "reference_atom", "variant", "variant_wall",
+            "grid", "output", "separations_nm", "tolerances", "kk"])
+    def test_misspelled_key_exits_3_naming_the_config_block_and_key(self, tmp_path, case,
+                                                                   block, key):
+        # without the misspelled key each config runs; with it, nothing is silently dropped
+        _metal_wall(tmp_path)
+        (tmp_path / "alpha.dat").write_text("0.0 315.63\n1.0 250.0\n2.0 60.0\n")
+        doc = base_config(**case)
+        if "reference" in case:
+            del doc["atom"], doc["wall"]
+        cfg = write_config(tmp_path, doc)
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        where = f"{block}: " if block else ""
+        assert result.stderr == f"error: {cfg}: {where}unknown keys ['{key}']\n"
+
     @pytest.mark.parametrize("rows, line", [("0.0 315.63\nnan 250.0\n2.0 60.0\n", 2),
                                             ("0.0 315.63\n1.0 250.0\ninf 60.0\n", 3)],
                              ids=["nan_row", "inf_last_row"])

@@ -179,7 +179,7 @@ TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
     ("epsilon", "json"): "6f3858c7e5e2e7fb16dc56c123fa7b677a33322eae07acc5e344b19f9753a515",
     ("table", "csv"): "34550c24b89ef749611fd20754077de4c1cb887502cd0fa0411dce944a86c2a4",
-    ("table", "json"): "8ec7f81eb3b025a167cbe55635307b9545e75f9274ba24985645f4f28c4a971d",
+    ("table", "json"): "cc5bbb097b07cd06b147f583559c6d1dd21868f959301f45f724810b2dac63b4",
 }
 
 

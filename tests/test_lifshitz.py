@@ -501,6 +501,10 @@ class TestFreeEnergy:
         (1e-5, 0.32, True), (1e-5, 0.33, False),   # 2 plain terms read up to 0.325 eV
         (3e-9, 50.0, True),      # the tail above the table reads up to zeta = 28, 0.92 keV
         (3e-9, 3000.0, False),   # a plain sum to zeta = 28 stays below this table's end
+        # plain sums with a middle: its integer alpha reads run to the last term, l = 322
+        # above the table's end (top = 310) at 53 nm and l = 305 below it at 56 nm, while
+        # the rows that read alpha stop at the head's l = 11
+        (53e-9, 50.0, True), (56e-9, 50.0, False),
     ])
     def test_tabulated_alpha_warns_iff_the_sum_reads_above_table(self, monkeypatch, a,
                                                                  top_eV, warns):
@@ -780,7 +784,9 @@ class TestPlainSumReference:
         assert l.size == np.unique(l).size == rows
 
     def test_middle_reads_alpha_once_per_row(self, monkeypatch):
-        # alpha at a non-integer l is a row's only: its middle weight divides by that read
+        # alpha is read only where a weight multiplies it: the middle nodes' alpha is in
+        # their weights, from the integer reads of _plan, so a non-integer l is read once
+        # and only at a stencil point or a tail node
         read = []
 
         def recording(model, x):
@@ -793,8 +799,8 @@ class TestPlainSumReference:
         xi = np.concatenate(read)
         l = xi / _sum_grid_span(4.0)[0]
         fractional, counts = np.unique(xi[np.abs(l - np.round(l)) > 1e-6], return_counts=True)
-        # 67 middle nodes but their 4 panel edges, 4 half-integer stencil points, 16 tail nodes
-        assert fractional.size == 63 + 4 + 16
+        # 4 half-integer stencil points and 16 tail nodes; none of the 67 middle nodes
+        assert fractional.size == 4 + 16
         assert counts.max() == 1
 
     @pytest.mark.parametrize("series_rel_tol", [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
@@ -810,6 +816,35 @@ class TestPlainSumReference:
             tol = NumericalTolerances(series_rel_tol=series_rel_tol, quad_rel_tol=1e-11)
             res = free_energy(ComputationRequest(atom=atom, wall=wall, a=a, T=T, tol=tol))
             assert abs(res.free_energy / reference - 1.0) <= series_rel_tol, a
+
+
+class TestTabulatedAgainstItsOscillator:
+    """A tabulated atom against the oscillator its rows sample.
+
+    ``TestPlainSumReference`` sums with the tabulated alpha itself, so it cannot
+    see the interpolation error between rows.  Each bound sits just above the
+    error of PCHIP in xi, largest near the tables' 50 eV end; a more accurate
+    interpolant can tighten them.
+    """
+
+    @pytest.mark.parametrize("atom_name, bound", [("tabulated", 9.5e-4),
+                                                  ("tabulated_40_rounded", 3.9e-2)])
+    def test_alpha_between_rows(self, atom_name, bound):
+        xi = ev_to_angular(np.linspace(0.0, 50.0, 100_001))
+        ratio = alpha_iw(_REF_ATOMS[atom_name], xi) / alpha_iw(_OSCILLATOR, xi)
+        assert np.max(np.abs(ratio - 1.0)) <= bound
+
+    @pytest.mark.parametrize("T", [30.0, 300.0])
+    @pytest.mark.parametrize("atom_name, bound", [("tabulated", 3.3e-6),
+                                                  ("tabulated_40_rounded", 3.1e-4)])
+    def test_free_energy_on_a_plasma(self, atom_name, bound, T):
+        # the largest shift is at 3 nm, where the sum reads alpha up to the table's end
+        wall, separations = _REF_WALLS["plasma"], np.geomspace(3e-9, 3e-6, 13)
+        tabulated, oscillator = (free_energy_batch([ComputationRequest(atom, wall, a, T)
+                                                    for a in separations])
+                                 for atom in (_REF_ATOMS[atom_name], _OSCILLATOR))
+        for a, f, g in zip(separations, tabulated, oscillator):
+            assert abs(f.free_energy / g.free_energy - 1.0) <= bound, a
 
 
 class TestClosedFormLongTail:
