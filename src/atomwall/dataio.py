@@ -124,12 +124,6 @@ _TOP_LEVEL_KEYS = {
     "temperature_K", "separations_nm", "atom", "wall", "reference", "variants",
     "grid", "tolerances", "kk", "output",
 }
-# the keys of each model tag besides "model"
-_ATOM_KEYS = {"static": {"alpha0_au", "alpha0_m3"}, "oscillators": {"file", "entries"},
-              "tabulated_alpha": {"file"}}
-_WALL_KEYS = {"ideal_metal": set(), "plasma": {"omega_p_eV", "omega_p_rad_s"},
-              "static": {"eps0"}, "ninham_parsegian": {"terms"},
-              "tabulated": {"file", "kind", "drude", "high_exponent"}}
 # the table command's fixed columns; variant labels name the others
 TABLE_COLUMNS = ("a_nm", "abs_free_energy_ref_J")
 
@@ -138,7 +132,7 @@ TABLE_COLUMNS = ("a_nm", "abs_free_energy_ref_J")
 class GridSpec:
     xi_min: float  # rad/s
     xi_max: float
-    points: int
+    points: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.xi_min < self.xi_max < math.inf) or self.points < 2:
@@ -173,14 +167,108 @@ class RunConfig:
     separations_nm: list | None = None
 
 
-def _resolve(base: Path, spec: dict) -> Path:
-    """spec['file'] as an absolute path, a relative one taken from ``base``; spec is not changed."""
-    p = Path(spec["file"])
+def _convert(x, kind, where: str):
+    """Config value ``x``, named ``where``, checked against its ``kind`` and converted to SI.
+
+    A float kind is the factor that takes a number to SI, ``int`` asks for a whole
+    number and ``str`` for a string; ``[kind]`` is a list of any length and a tuple a
+    list of one value per kind.  Any other kind is a function of ``x`` and ``where``.
+    """
+    if type(kind) in (list, tuple):
+        kinds = kind * len(x) if type(kind) is list and type(x) is list else kind
+        if type(x) is not list or len(x) != len(kinds):
+            shape = "a list" if type(kind) is list else f"a list of {len(kind)}"
+            raise ConfigError(f"{where}: expected {shape}, got {x!r}")
+        return [_convert(v, k, where) for v, k in zip(x, kinds)]
+    if kind is str:
+        if type(x) is not str:   # an integer path would be opened as a file descriptor
+            raise ConfigError(f"{where}: expected a string, got {x!r}")
+        return x
+    if kind is not int and type(kind) is not float:
+        return kind(x, where)
+    if type(x) not in (int, float):   # JSON true is not 1, nor "5" 5
+        raise ConfigError(f"{where}: expected a number, got {x!r}")
+    if kind is not int:
+        return float(x) * kind
+    n = int(x)   # ahead of the test: an infinite count is an OverflowError
+    if n != x:
+        raise ConfigError(f"{where}: expected a whole number, got {x!r}")
+    return n
+
+
+def _log_range(x, where: str) -> np.ndarray:
+    lo, hi, count = _convert(x, (1.0, 1.0, int), where)
+    if lo <= 0.0 or hi <= lo or count < 1:
+        raise ConfigError(f"{where} needs 0 < lo < hi and a positive count")
+    return np.geomspace(lo, hi, count)
+
+
+def _resolve(base: Path, file: str) -> Path:
+    """``file`` as an absolute path, a relative one taken from ``base``."""
+    p = Path(file)
     if not p.is_absolute():
         p = (base / p).resolve()
     if not p.is_file():
         raise ConfigError(f"referenced file does not exist or is not a file: {p}")
     return p
+
+
+def _oscillator_atom(v: dict, base: Path, _kk) -> OscillatorSet:
+    if isinstance(v["rows"], str):
+        return parse_oscillator_file(_resolve(base, v["rows"]))
+    try:   # built as a file's rows are; a bad row is named by its index
+        return _oscillators(*np.array(v["rows"]).reshape(-1, 2).T)
+    except ValidationError as err:
+        raise err if err.row is None else ValidationError(f"entries[{err.row}]: {err}")
+
+
+def _tabulated_wall(v: dict, base: Path, kk: KKSettings) -> TabulatedKK:
+    # built inside the reader: a fault of the table's rows names the table, not the config
+    return _read_model(_resolve(base, v["file"]), 3, lambda energy, n, k: TabulatedKK(
+        OpticalTable(energy * EV_TO_RAD_PER_S, n, k, low_ext=v.get("drude"),
+                     high_exponent=v.get("high_exponent", OpticalTable.high_exponent)),
+        v["kind"], settings=kk))
+
+
+# Each config block's table: make(fields, config directory, KK settings), and its keys,
+# key -> (kind, group), each kind as _convert reads it.  Each group is required: a block
+# gives exactly one of its keys, whose value is the group's field.  A key with no group is
+# optional and is its own field.  An atom or wall is read by the table of "<model tag> atom"
+# or "<model tag> wall".
+_BLOCKS = {
+    "static atom": (lambda v, *_: StaticAlpha(**v), {
+        "alpha0_au": (AU_POLARIZABILITY, "alpha0"), "alpha0_m3": (1.0, "alpha0")}),
+    "oscillators atom": (_oscillator_atom, {
+        "file": (str, "rows"), "entries": ([(1.0, 1.0)], "rows")}),
+    "tabulated_alpha atom": (lambda v, base, _: parse_alpha_table(_resolve(base, v["file"])),
+                             {"file": (str, "file")}),
+    "ideal_metal wall": (lambda *_: IdealMetal(), {}),
+    "plasma wall": (lambda v, *_: Plasma(**v), {
+        "omega_p_eV": (EV_TO_RAD_PER_S, "omega_p"), "omega_p_rad_s": (1.0, "omega_p")}),
+    "static wall": (lambda v, *_: StaticPermittivity(**v), {"eps0": (1.0, "eps_static")}),
+    "ninham_parsegian wall": (lambda v, *_: NinhamParsegian(**v), {
+        "terms": ([(1.0, EV_TO_RAD_PER_S)], "terms")}),
+    "tabulated wall": (_tabulated_wall, {
+        "file": (str, "file"), "kind": (str, "kind"), "high_exponent": (1.0, None),
+        "drude": (lambda x, where: _build(x, where, "drude"), None)}),
+    "drude": (lambda v, *_: DrudeLowFreq(**v), {
+        "omega_p_eV": (EV_TO_RAD_PER_S, "omega_p"), "nu_eV": (EV_TO_RAD_PER_S, "nu")}),
+    "separations_nm": (lambda v, *_: np.asarray(v["a_nm"], dtype=float), {
+        "list": ([1.0], "a_nm"), "log_range": (_log_range, "a_nm")}),
+    "tolerances": (lambda v, *_: NumericalTolerances(**v), {
+        "series_rel_tol": (1.0, None), "quad_rel_tol": (1.0, None), "max_terms": (int, None)}),
+    # grid_points_per_decade is accepted, for older configs, and has no effect
+    "kk": (lambda v, *_: KKSettings(v.get("rel_tol", KKSettings.rel_tol)), {
+        "rel_tol": (1.0, None), "grid_points_per_decade": (int, None)}),
+    "grid": (lambda v, *_: GridSpec(**v), {
+        "xi_min_eV": (EV_TO_RAD_PER_S, "xi_min"), "xi_max_eV": (EV_TO_RAD_PER_S, "xi_max"),
+        "points": (int, None)}),
+    "output": (lambda v, *_: (v.get("format", "csv"), v.get("path")), {
+        "format": (str, None), "path": (str, None)}),
+    # a reference's atom and wall are read by their model tags once it is checked
+    "reference": (lambda v, *_: v, {
+        "atom": (lambda x, _: x, "atom"), "wall": (lambda x, _: x, "wall")}),
+}
 
 
 def _check_keys(spec, block: str, known):
@@ -193,94 +281,31 @@ def _check_keys(spec, block: str, known):
         raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
 
 
-def _build_atom(spec: dict, base: Path, block: str):
+def _build(spec, block: str, name: str, base: Path | None = None, kk: KKSettings | None = None):
+    """Config block ``spec`` made by the table ``_BLOCKS[name]``; each error names ``block``."""
+    make, keys = _BLOCKS[name]
+    _check_keys(spec, block, keys)
+    groups = {group: [key for key in keys if keys[key][1] == group] for _, group in keys.values()
+              if group}
+    if any(sum(key in spec for key in g) != 1 for g in groups.values()):
+        raise ConfigError(f"{block}: {name} needs " + " and ".join(
+            ("exactly one of " if len(g) > 1 else "") + ", ".join(map(repr, g))
+            for g in groups.values()))
+    v = {}
+    for key, x in spec.items():
+        kind, group = keys[key]
+        v[group or key] = _convert(x, kind, f"{block}.{key}")
+    return make(v, base, kk)
+
+
+def _model(spec, block: str, what: str, base: Path, kk: KKSettings | None = None):
+    """The atom or wall ``spec``, made by the table of its model tag."""
     if not isinstance(spec, dict) or "model" not in spec:
-        raise ConfigError("atom spec must be an object with a 'model' tag")
-    model = spec["model"]
-    if model not in _ATOM_KEYS:
-        raise ConfigError(f"unknown atom model tag {model!r}")
-    _check_keys(spec, block, {"model", *_ATOM_KEYS[model]})
-    if model == "static":
-        if "alpha0_au" in spec:
-            return StaticAlpha(float(spec["alpha0_au"]) * AU_POLARIZABILITY)
-        if "alpha0_m3" in spec:
-            return StaticAlpha(float(spec["alpha0_m3"]))
-        raise ConfigError("static atom needs alpha0_au or alpha0_m3")
-    if model == "oscillators":
-        if "file" in spec:
-            return parse_oscillator_file(_resolve(base, spec))
-        if "entries" in spec:   # built as a file's rows are; a bad row is named by its index
-            rows = np.array([(float(w), float(f)) for w, f in spec["entries"]]).reshape(-1, 2)
-            try:
-                return _oscillators(*rows.T)
-            except ValidationError as err:
-                raise err if err.row is None else ValidationError(f"entries[{err.row}]: {err}")
-        raise ConfigError("oscillators atom needs 'file' or 'entries' ([omega_eV, f0n] pairs)")
-    if "file" not in spec:
-        raise ConfigError("tabulated_alpha atom needs 'file'")
-    return parse_alpha_table(_resolve(base, spec))
-
-
-def _build_wall(spec: dict, base: Path, kk_settings: KKSettings, block: str):
-    if not isinstance(spec, dict) or "model" not in spec:
-        raise ConfigError("wall spec must be an object with a 'model' tag")
-    model = spec["model"]
-    if model not in _WALL_KEYS:
-        raise ConfigError(f"unknown wall model tag {model!r}")
-    _check_keys(spec, block, {"model", *_WALL_KEYS[model]})
-    if model == "ideal_metal":
-        return IdealMetal()
-    if model == "plasma":
-        if "omega_p_eV" in spec:
-            return Plasma(float(spec["omega_p_eV"]) * EV_TO_RAD_PER_S)
-        if "omega_p_rad_s" in spec:
-            return Plasma(float(spec["omega_p_rad_s"]))
-        raise ConfigError("plasma wall needs omega_p_eV or omega_p_rad_s")
-    if model == "static":
-        if "eps0" not in spec:
-            raise ConfigError("static wall needs eps0")
-        return StaticPermittivity(float(spec["eps0"]))
-    if model == "ninham_parsegian":
-        terms = spec.get("terms")
-        if not terms:
-            raise ConfigError("ninham_parsegian wall needs 'terms' ([C_j, omega_j_eV] pairs)")
-        return NinhamParsegian(tuple((float(c), float(w) * EV_TO_RAD_PER_S) for c, w in terms))
-    if "file" not in spec or "kind" not in spec:
-        raise ConfigError("tabulated wall needs 'file' and 'kind' (metal | dielectric)")
-    drude = None
-    if "drude" in spec:
-        d = spec["drude"]
-        _check_keys(d, f"{block}.drude", {"omega_p_eV", "nu_eV"})
-        drude = DrudeLowFreq(omega_p=float(d["omega_p_eV"]) * EV_TO_RAD_PER_S,
-                             nu=float(d["nu_eV"]) * EV_TO_RAD_PER_S)
-    high_exponent = float(spec.get("high_exponent", OpticalTable.high_exponent))
-    # built inside the reader: a fault of the table's rows names the table, not the config
-    return _read_model(_resolve(base, spec), 3, lambda energy, n, k: TabulatedKK(
-        OpticalTable(energy * EV_TO_RAD_PER_S, n, k, low_ext=drude,
-                     high_exponent=high_exponent),
-        spec["kind"], settings=kk_settings))
-
-
-def _parse_separations(spec) -> tuple[np.ndarray, list]:
-    if not isinstance(spec, dict):
-        raise ConfigError("separations_nm must be {'list': [...]} or {'log_range': [lo, hi, n]}")
-    _check_keys(spec, "separations_nm", {"list", "log_range"})
-    if "list" in spec:
-        a_nm = np.asarray([float(x) for x in spec["list"]], dtype=float)
-    elif "log_range" in spec:
-        lo, hi, count = spec["log_range"]
-        if float(lo) <= 0.0 or float(hi) <= float(lo) or int(count) < 1:
-            raise ConfigError("log_range needs 0 < lo < hi and a positive count")
-        a_nm = np.geomspace(float(lo), float(hi), int(count))
-    else:
-        raise ConfigError("separations_nm must contain 'list' or 'log_range'")
-    if a_nm.size == 0:
-        raise ConfigError("at least one separation is required")
-    if not np.all((a_nm > 0.0) & (a_nm < math.inf)):
-        raise ConfigError("separations must be finite and positive")
-    if np.any(np.diff(a_nm) <= 0.0):
-        raise ConfigError("separations must be strictly ascending")
-    return a_nm * 1e-9, [float(x) for x in a_nm]
+        raise ConfigError(f"{block} must be an object with a 'model' tag")
+    name = f"{spec['model']} {what}"
+    if name not in _BLOCKS:
+        raise ConfigError(f"{block}: unknown {what} model tag {spec['model']!r}")
+    return _build({k: x for k, x in spec.items() if k != "model"}, block, name, base, kk)
 
 
 def parse_run_config(path) -> RunConfig:
@@ -312,8 +337,8 @@ def parse_run_config(path) -> RunConfig:
 def _build_config(doc, base: Path, digest: str) -> RunConfig:
     _check_keys(doc, "", _TOP_LEVEL_KEYS)
 
-    tolerances = _parse_tolerances(doc.get("tolerances"))
-    kk_settings = _parse_kk(doc.get("kk"))
+    tolerances = _build(doc.get("tolerances", {}), "tolerances", "tolerances")
+    kk_settings = _build(doc.get("kk", {}), "kk", "kk")
 
     reference = doc.get("reference")
     atom_spec = doc.get("atom")
@@ -321,17 +346,14 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
     if reference is not None:
         if atom_spec is not None or wall_spec is not None:
             raise ConfigError("give either top-level atom/wall or a reference block, not both")
-        _check_keys(reference, "reference", {"atom", "wall"})
-        if "atom" not in reference or "wall" not in reference:
-            raise ConfigError("reference block needs both atom and wall")
-        atom_spec = reference["atom"]
-        wall_spec = reference["wall"]
+        reference = _build(reference, "reference", "reference")
+        atom_spec, wall_spec = reference["atom"], reference["wall"]
     if doc.get("variants") and reference is None:
         raise ConfigError("variants require a reference block")
 
     where = "reference." if reference is not None else ""
-    atom = _build_atom(atom_spec, base, f"{where}atom") if atom_spec is not None else None
-    wall = (_build_wall(wall_spec, base, kk_settings, f"{where}wall")
+    atom = _model(atom_spec, f"{where}atom", "atom", base) if atom_spec is not None else None
+    wall = (_model(wall_spec, f"{where}wall", "wall", base, kk_settings)
             if wall_spec is not None else None)
 
     variants = []
@@ -350,37 +372,30 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
             raise ConfigError(f"variant {label!r} overrides neither atom nor wall")
         variants.append(Variant(
             label=label,
-            atom=_build_atom(vspec["atom"], base, f"{block}.atom") if "atom" in vspec else atom,
-            wall=(_build_wall(vspec["wall"], base, kk_settings, f"{block}.wall")
+            atom=_model(vspec["atom"], f"{block}.atom", "atom", base) if "atom" in vspec else atom,
+            wall=(_model(vspec["wall"], f"{block}.wall", "wall", base, kk_settings)
                   if "wall" in vspec else wall),
         ))
 
     separations = separations_nm = None
     if "separations_nm" in doc:
-        separations, separations_nm = _parse_separations(doc["separations_nm"])
+        a_nm = _build(doc["separations_nm"], "separations_nm", "separations_nm")
+        if a_nm.size == 0:
+            raise ConfigError("at least one separation is required")
+        if not np.all((a_nm > 0.0) & (a_nm < math.inf)):
+            raise ConfigError("separations must be finite and positive")
+        if np.any(np.diff(a_nm) <= 0.0):
+            raise ConfigError("separations must be strictly ascending")
+        separations, separations_nm = a_nm * 1e-9, [float(x) for x in a_nm]
 
     temperature = None
     if "temperature_K" in doc:
-        temperature = float(doc["temperature_K"])
+        temperature = _convert(doc["temperature_K"], 1.0, "temperature_K")
         if not 0.0 < temperature < math.inf:
             raise ConfigError("temperature must be finite and positive")
 
-    grid = None
-    if "grid" in doc:
-        grid_spec = doc["grid"]
-        _check_keys(grid_spec, "grid", {"xi_min_eV", "xi_max_eV", "points"})
-        try:
-            grid = GridSpec(
-                xi_min=float(grid_spec["xi_min_eV"]) * EV_TO_RAD_PER_S,
-                xi_max=float(grid_spec["xi_max_eV"]) * EV_TO_RAD_PER_S,
-                points=int(grid_spec.get("points", 200)),
-            )
-        except KeyError as err:
-            raise ConfigError("grid needs xi_min_eV and xi_max_eV") from err
-
-    out = doc.get("output", {})
-    _check_keys(out, "output", {"format", "path"})
-    output_format = out.get("format", "csv")
+    grid = _build(doc["grid"], "grid", "grid") if "grid" in doc else None
+    output_format, output_path = _build(doc.get("output", {}), "output", "output")
     if output_format not in ("csv", "json"):
         raise ConfigError("output format must be csv or json")
 
@@ -388,23 +403,7 @@ def _build_config(doc, base: Path, digest: str) -> RunConfig:
         atom=atom, wall=wall,
         separations=separations, temperature=temperature,
         tolerances=tolerances, kk_settings=kk_settings,
-        output_format=output_format, output_path=out.get("path"),
+        output_format=output_format, output_path=output_path,
         variants=variants, grid=grid, digest=digest,
         separations_nm=separations_nm,
     )
-
-
-def _parse_tolerances(spec) -> NumericalTolerances:
-    if spec is None:
-        return NumericalTolerances()
-    casts = {"series_rel_tol": float, "quad_rel_tol": float, "max_terms": int}
-    _check_keys(spec, "tolerances", casts)
-    return NumericalTolerances(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})
-
-
-def _parse_kk(spec) -> KKSettings:
-    if spec is None:
-        return KKSettings()
-    # grid_points_per_decade is accepted, for older configs, and has no effect
-    _check_keys(spec, "kk", {"rel_tol", "grid_points_per_decade"})
-    return KKSettings(**{k: v for k, v in spec.items() if k == "rel_tol"})

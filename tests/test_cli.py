@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,6 +144,20 @@ class TestTable:
         assert header == ["a_nm", "abs_free_energy_ref_J", "same"]
         for row in rows:
             assert float(row[2]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_bundled_config_fails_only_on_its_missing_data(self, tmp_path):
+        # the one bundled config with a reference, variants, a tabulated wall and a drude
+        # block; copied beside an empty data directory, every key of it must be accepted
+        bundled = Path(__file__).resolve().parent.parent / "configs" / "table_au_vs_models.json"
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "data").mkdir()
+        cfg = tmp_path / "configs" / bundled.name
+        cfg.write_bytes(bundled.read_bytes())
+        result = run_cli("table", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        missing = (tmp_path / "data" / "he_star_alpha.txt").resolve()
+        assert result.stderr == (f"error: {cfg}: referenced file does not exist or is not a "
+                                 f"file: {missing}\n")
 
     def test_missing_variants_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -360,14 +375,17 @@ class TestExitCodes:
         ({"atom": {"model": "oscillators", "entries": [[1.2, 0.3], [2.5, 0.0]]}}, _BAD_ENTRY),
         ({"atom": {"model": "oscillators", "entries": [[1.2, 0.3], [2.5, math.nan]]}},
          _BAD_ENTRY),
-        ({"atom": {"model": "static"}}, "static atom needs alpha0_au or alpha0_m3"),
-        ({"wall": {"model": "plasma"}}, "plasma wall needs omega_p_eV or omega_p_rad_s"),
-        ({"wall": {"model": "static"}}, "static wall needs eps0"),
-        ({"wall": {"model": "ninham_parsegian"}}, "ninham_parsegian wall needs 'terms'"),
+        ({"atom": {"model": "static"}},
+         "atom: static atom needs exactly one of 'alpha0_au', 'alpha0_m3'"),
+        ({"wall": {"model": "plasma"}},
+         "wall: plasma wall needs exactly one of 'omega_p_eV', 'omega_p_rad_s'"),
+        ({"wall": {"model": "static"}}, "wall: static wall needs 'eps0'"),
+        ({"wall": {"model": "ninham_parsegian"}}, "wall: ninham_parsegian wall needs 'terms'"),
         ({"wall": {"model": "tabulated", "file": "metal.nk"}},
-         "tabulated wall needs 'file' and 'kind'"),
-        ({"atom": {"model": "tabulated_alpha"}}, "tabulated_alpha atom needs 'file'"),
-        ({"atom": {"model": "oscillators"}}, "oscillators atom needs 'file' or 'entries'"),
+         "wall: tabulated wall needs 'file' and 'kind'"),
+        ({"atom": {"model": "tabulated_alpha"}}, "atom: tabulated_alpha atom needs 'file'"),
+        ({"atom": {"model": "oscillators"}},
+         "atom: oscillators atom needs exactly one of 'file', 'entries'"),
         # a negative eV or au value reaches the model that holds it, which names its rule
         ({"wall": {"model": "plasma", "omega_p_eV": -9.0}},
          "plasma frequency must be finite and positive"),
@@ -447,6 +465,70 @@ class TestExitCodes:
         _assert_one_error_line(result, 3)
         where = f"{block}: " if block else ""
         assert result.stderr == f"error: {cfg}: {where}unknown keys ['{key}']\n"
+
+    @pytest.mark.parametrize("case, block, keys", [
+        ({"separations_nm": {"list": [10.0], "log_range": [3.0, 100.0, 5]}}, "separations_nm",
+         ("list", "log_range")),
+        ({"atom": {"model": "static", "alpha0_au": 315.63, "alpha0_m3": 1e-40}}, "atom",
+         ("alpha0_au", "alpha0_m3")),
+        ({"wall": {"model": "plasma", "omega_p_eV": 9.0, "omega_p_rad_s": 1.0}}, "wall",
+         ("omega_p_eV", "omega_p_rad_s")),
+        ({"atom": {"model": "oscillators", "file": "osc.dat", "entries": [[1.18, 0.5935]]}},
+         "atom", ("file", "entries")),
+        ({"reference": dict(_REFERENCE, atom={"model": "static", "alpha0_au": 315.63,
+                                              "alpha0_m3": 1e-40})},
+         "reference.atom", ("alpha0_au", "alpha0_m3")),
+        ({"reference": _REFERENCE, "variants": [
+            {"label": "v", "wall": {"model": "ideal_metal"}},
+            {"label": "w", "wall": {"model": "plasma", "omega_p_eV": 9.0,
+                                    "omega_p_rad_s": 1.0}}]},
+         "variants[1].wall", ("omega_p_eV", "omega_p_rad_s")),
+    ], ids=["list_and_log_range", "alpha0_au_and_alpha0_m3", "omega_p_eV_and_omega_p_rad_s",
+            "file_and_entries", "reference_atom", "variant_wall"])
+    def test_two_alternative_keys_exit_3_naming_the_block_and_both(self, tmp_path, case, block,
+                                                                   keys):
+        # each config runs with either key alone; with both, neither is dropped silently
+        (tmp_path / "osc.dat").write_text("1.18 0.5935\n")
+        doc = base_config(**case)
+        if "reference" in case:
+            del doc["atom"], doc["wall"]
+        cfg = write_config(tmp_path, doc)
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr.startswith(f"error: {cfg}: {block}: ")
+        assert all(f"'{key}'" in result.stderr for key in keys)
+
+    @pytest.mark.parametrize("case, key", [
+        ({"temperature_K": True}, "temperature_K"),
+        ({"separations_nm": {"list": "5"}}, "list"),
+        ({"separations_nm": {"list": [10.0, "20"]}}, "list"),
+        ({"separations_nm": {"log_range": [3.0, 100.0, 2.9]}}, "log_range"),
+        ({"tolerances": {"max_terms": 100000.7}}, "max_terms"),
+        ({"tolerances": {"series_rel_tol": False}}, "series_rel_tol"),
+        ({"wall": {"model": "static", "eps0": "3.84"}}, "eps0"),
+        ({"grid": {"xi_min_eV": 0.1, "xi_max_eV": 10.0, "points": 30.5}}, "points"),
+    ], ids=["bool_temperature", "text_list", "text_in_list", "fractional_count",
+            "fractional_max_terms", "bool_tolerance", "text_eps0", "fractional_points"])
+    def test_value_of_the_wrong_type_exits_3_naming_its_key(self, tmp_path, case, key):
+        cfg = write_config(tmp_path, base_config(**case))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr.startswith(f"error: {cfg}: ") and f"{key}: " in result.stderr
+
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(
+            separations_nm={"log_range": [3.0, 100.0, 3.0]}, tolerances={"max_terms": 1e6}))
+        result = run_cli("sweep", "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        assert len(parse_csv(result.stdout)[1]) == 3
+
+    @pytest.mark.parametrize("path", [1, 2])
+    def test_output_path_that_is_not_a_string_exits_3_writing_nothing(self, tmp_path, path):
+        # an integer would be opened as a file descriptor: stdout or stderr
+        cfg = write_config(tmp_path, base_config(output={"path": path}))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stdout == "" and "path: " in result.stderr
 
     @pytest.mark.parametrize("rows, line", [("0.0 315.63\nnan 250.0\n2.0 60.0\n", 2),
                                             ("0.0 315.63\n1.0 250.0\ninf 60.0\n", 3)],
