@@ -45,15 +45,12 @@ CODATA = PhysicalConstants()
 K_B = CODATA.k_B
 HBAR = CODATA.hbar
 C_LIGHT = CODATA.c
-E_CHARGE = CODATA.e
-M_E = CODATA.m_e
-EPS0 = CODATA.eps0
 AU_POLARIZABILITY = CODATA.au_polarizability
 EV_TO_RAD_PER_S = CODATA.eV_to_rad_per_s
 
 # e^2/(4 pi eps0 m_e): turns oscillator strengths into a polarizability
 # volume, alpha(i xi) = OSCILLATOR_PREFACTOR * sum_n f_n/(w_n^2 + xi^2) [m^3]
-OSCILLATOR_PREFACTOR = E_CHARGE ** 2 / (4.0 * math.pi * EPS0 * M_E)
+OSCILLATOR_PREFACTOR = CODATA.e ** 2 / (4.0 * math.pi * CODATA.eps0 * CODATA.m_e)
 
 
 def ev_to_angular(x_eV):

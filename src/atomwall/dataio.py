@@ -190,10 +190,9 @@ def _convert(x, kind, where: str):
         raise ConfigError(f"{where}: expected a number, got {x!r}")
     if kind is not int:
         return float(x) * kind
-    n = int(x)   # ahead of the test: an infinite count is an OverflowError
-    if n != x:
+    if not (math.isfinite(x) and int(x) == x):
         raise ConfigError(f"{where}: expected a whole number, got {x!r}")
-    return n
+    return int(x)
 
 
 def _log_range(x, where: str) -> np.ndarray:
@@ -295,7 +294,10 @@ def _build(spec, block: str, name: str, base: Path | None = None, kk: KKSettings
     for key, x in spec.items():
         kind, group = keys[key]
         v[group or key] = _convert(x, kind, f"{block}.{key}")
-    return make(v, base, kk)
+    try:
+        return make(v, base, kk)
+    except (ConfigError, DomainError) as err:   # a data file's error keeps its file:line:
+        raise err if getattr(err, "path", None) else type(err)(f"{block}: {err}")
 
 
 def _model(spec, block: str, what: str, base: Path, kk: KKSettings | None = None):

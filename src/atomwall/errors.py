@@ -51,7 +51,7 @@ def _check_rows(checks: dict):
 class ConvergenceError(AtomWallError):
     """A quadrature or series did not converge within its budget.
 
-    Diagnostics (last estimates, orders, term counts) are kept in the
+    Diagnostics (orders, worst estimates, term counts) are kept in the
     ``diagnostics`` dict for post-mortem inspection.
     """
 

@@ -41,7 +41,7 @@ from .constants import C_LIGHT, HBAR, K_B
 from .dielectric import IdealMetal, TabulatedKK, eps_grid, eps_iw, f0
 from .errors import ConvergenceError, DomainError, UsageError
 from .polarizability import TabulatedAlpha, alpha_iw, static_alpha
-from .quadrature import gauss_laguerre, gauss_legendre
+from .quadrature import adapt_pairs, gauss_laguerre, gauss_legendre
 
 # separations where the plane-wall Lifshitz description is trusted
 SOFT_RANGE = (3e-9, 1e-5)   # outside: warn
@@ -205,56 +205,6 @@ def _quad_start(rel_tol: float) -> int:
     return 8 if rel_tol >= 1e-8 else 12 if rel_tol >= 1e-10 else 16 if rel_tol >= 1e-11 else 24
 
 
-def _integrate_chunk(eps, zeta, rel_tol):
-    """Per-row anti-Gauss pairs for one chunk of rows; see _matsubara_integral_block."""
-    width = zeta * np.sqrt(np.maximum(eps - 1.0, 0.0))
-    near = (width > 0.0) & ((zeta < 4.0) | (width < 0.5))
-    split_at = np.where(near, np.clip(5.0 * zeta * np.sqrt(eps), 0.5, 2.0), 0.0)
-    constants = _row_constants(eps, zeta)[:, :, None]   # once per chunk, not per order
-    tail_scale, panel_scale = np.exp(-(zeta + split_at)), 0.5 * split_at * np.exp(-zeta)
-
-    def evaluate(rows, n):
-        """Gauss-n and anti-Gauss estimates of each row's integral, over its row factor."""
-        row_constants, zeta_col, T = constants[:, rows], zeta[rows, None], split_at[rows]
-        (t, w), (t_anti, w_anti) = gauss_laguerre(n), gauss_laguerre(n, True)
-        f = _integrand_rows(row_constants, zeta_col + T[:, None] + np.concatenate([t, t_anti]))
-        # einsum, unlike BLAS gemv, sums each row the same way wherever it sits,
-        # up to 8 192 columns (numpy 2.4), which _QUAD_CAP = 512 keeps
-        gauss = tail_scale[rows] * np.einsum("ij,j->i", f[:, :n], w)
-        anti = tail_scale[rows] * np.einsum("ij,j->i", f[:, n:], w_anti)
-        panel_rows = np.nonzero(T > 0.0)[0]
-        if panel_rows.size:
-            (x, w), (x_anti, w_anti) = gauss_legendre(n), gauss_legendre(n, True)
-            minus_t = -0.5 * T[panel_rows, None] * (np.concatenate([x, x_anti]) + 1.0)
-            g = _integrand_rows(row_constants[:, panel_rows], zeta_col[panel_rows] - minus_t)
-            g *= np.exp(minus_t)
-            scale = panel_scale[rows[panel_rows]]
-            gauss[panel_rows] += scale * np.einsum("ij,j->i", g[:, :n], w)
-            anti[panel_rows] += scale * np.einsum("ij,j->i", g[:, n:], w_anti)
-        return gauss, anti
-
-    n, pending = _quad_start(rel_tol), np.arange(eps.size)
-    vals, orders, worst = np.empty(eps.size), np.empty(eps.size, dtype=int), 0.0
-    while True:
-        gauss, anti = evaluate(pending, n)
-        value = 0.5 * (gauss + anti)
-        estimate = 0.5 * np.abs(gauss - anti) / np.maximum(np.abs(value), 1e-300)
-        vals[pending], orders[pending] = value, n
-        converged = estimate <= rel_tol
-        worst = max(worst, float(estimate[converged].max(initial=0.0)))
-        pending = pending[~converged]
-        if pending.size == 0:
-            vals *= 2.0 * (eps - 1.0) * (eps + 1.0)   # the row factor of _integrand_rows
-            return vals, np.where(near, 2, 1) * (2 * orders + 1), worst
-        if 2 * n > _QUAD_CAP:
-            raise ConvergenceError(
-                "per-frequency quadrature did not converge within the node budget",
-                order=n, unconverged=int(pending.size),
-                worst_rel_delta=float(estimate[~converged].max()),
-                zeta=zeta[pending][:8].tolist(), eps=eps[pending][:8].tolist())
-        n *= 2
-
-
 def _matsubara_integral_block(eps, zeta, rel_tol):
     """Vectorized per-frequency integrals with per-row anti-Gauss error estimates.
 
@@ -264,24 +214,50 @@ def _matsubara_integral_block(eps, zeta, rel_tol):
     has a pole near t = -zeta.  A row with zeta < 4 or width < 0.5 is
     integrated as a Gauss-Legendre panel over [0, T], T = 5 zeta sqrt(eps)
     held to [0.5, 2], plus a Gauss-Laguerre rule beyond T; any other row is
-    pure Gauss-Laguerre.  Each piece takes the n-node Gauss rule G and the
-    (n+1)-node anti-Gauss rule A of its weight, whose errors are opposite to
-    leading order (Laurie, Math. Comp. 65, 739 (1996)): a row's value is
-    (G + A)/2, accepted once |G - A|/2 <= rel_tol |value|, else n doubles up
-    to ``_QUAD_CAP``.  n starts at 8, 12, 16 or 24 as rel_tol falls
-    (``_quad_start``).  One scan set those and the panel up to zeta = 4:
-    with a Laguerre rule alone there, G and A agreed by accident on rows
-    that missed by up to 10 times rel_tol.  Rows are taken in chunks of
-    ``_CHUNK``; each row's value depends on it alone.
+    pure Gauss-Laguerre.  Each piece pairs its Gauss rule G with the anti-Gauss
+    rule A of its weight (``adapt_pairs``), from n = 8, 12, 16 or 24 nodes as
+    rel_tol falls (``_quad_start``) up to ``_QUAD_CAP``.  One scan set those and
+    the panel up to zeta = 4: with a Laguerre rule alone there, G and A agreed
+    by accident on rows that missed by up to 10 times rel_tol.  Rows are taken
+    in chunks of ``_CHUNK``; each row's value depends on it alone.
 
     Returns (values, nodes per row: 2n + 1 per piece, worst accepted estimate).
     """
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    chunks = [_integrate_chunk(eps[i:i + _CHUNK], zeta[i:i + _CHUNK], rel_tol)
-              for i in range(0, eps.size, _CHUNK)]
-    vals, nodes, estimates = zip(*chunks)
-    return np.concatenate(vals), np.concatenate(nodes), max(estimates)
+    eps, zeta = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (eps, zeta))
+    width = zeta * np.sqrt(np.maximum(eps - 1.0, 0.0))
+    near = (width > 0.0) & ((zeta < 4.0) | (width < 0.5))
+    split_at = np.where(near, np.clip(5.0 * zeta * np.sqrt(eps), 0.5, 2.0), 0.0)
+    constants = _row_constants(eps, zeta)[:, :, None]   # once per block, not per order
+    tail_scale, panel_scale = np.exp(-(zeta + split_at)), 0.5 * split_at * np.exp(-zeta)
+
+    def evaluate(pending, n):
+        """Gauss-n and anti-Gauss estimates of the rows' integrals, over their row factor."""
+        gauss, anti = np.empty((2, pending.size))
+        (t, w), (t_anti, w_anti) = gauss_laguerre(n), gauss_laguerre(n, True)
+        for i in range(0, pending.size, _CHUNK):
+            rows, piece = pending[i:i + _CHUNK], slice(i, i + _CHUNK)
+            row_constants, zeta_col, T = constants[:, rows], zeta[rows, None], split_at[rows]
+            f = _integrand_rows(row_constants, zeta_col + T[:, None] + np.concatenate([t, t_anti]))
+            # einsum, unlike BLAS gemv, sums each row the same way wherever it sits,
+            # up to 8 192 columns (numpy 2.4), which _QUAD_CAP = 512 keeps
+            gauss[piece] = tail_scale[rows] * np.einsum("ij,j->i", f[:, :n], w)
+            anti[piece] = tail_scale[rows] * np.einsum("ij,j->i", f[:, n:], w_anti)
+            panel_rows = np.nonzero(T > 0.0)[0]
+            if panel_rows.size:
+                (x, v), (x_anti, v_anti) = gauss_legendre(n), gauss_legendre(n, True)
+                minus_t = -0.5 * T[panel_rows, None] * (np.concatenate([x, x_anti]) + 1.0)
+                g = _integrand_rows(row_constants[:, panel_rows], zeta_col[panel_rows] - minus_t)
+                g *= np.exp(minus_t)
+                scale = panel_scale[rows[panel_rows]]
+                gauss[i + panel_rows] += scale * np.einsum("ij,j->i", g[:, :n], v)
+                anti[i + panel_rows] += scale * np.einsum("ij,j->i", g[:, n:], v_anti)
+        return gauss, anti
+
+    vals, orders, worst = adapt_pairs(
+        "per-frequency quadrature", evaluate, eps.size, _quad_start(rel_tol), _QUAD_CAP, rel_tol,
+        lambda rows: {"zeta": zeta[rows][:8].tolist(), "eps": eps[rows][:8].tolist()})
+    vals *= 2.0 * (eps - 1.0) * (eps + 1.0)   # the row factor of _integrand_rows
+    return vals, np.where(near, 2, 1) * (2 * orders + 1), worst
 
 
 def matsubara_integral(eps: float, zeta: float, quad_rel_tol: float = 1e-9) -> float:
@@ -353,7 +329,7 @@ def _middle_rows(tau: float, L: int, end: int, panels: int, nodes: int, alpha):
         for first in range(start, stop, _MIDDLE_CHUNK):
             last = min(first + _MIDDLE_CHUNK, stop)
             panel_l, b = _lobatto_matrix(nodes, start, top, first, last)
-            # einsum sums each row alone up to 8 192 columns (see _integrate_chunk)
+            # einsum sums each row alone up to 8 192 columns (see _matsubara_integral_block)
             v = alpha[first - L:last - L] * np.exp(-tau * np.arange(first, last))
             total += np.einsum("kl,l->k", b, v)
         at = slice(k * (nodes - 1), (k + 1) * (nodes - 1) + 1)

@@ -1,7 +1,7 @@
 """Numerical helpers of the dielectric, polarizability and Lifshitz cores.
 
-Cached Gaussian quadrature rules, and ``pchip``, the monotone cubic
-interpolant that reads tabulated alpha(i xi).
+Cached Gaussian quadrature rules, ``adapt_pairs``, the order-doubling loop of
+both integrals, and ``pchip``, the monotone cubic that reads alpha(i xi) tables.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 
 def _golub_welsch(diagonal, off_diagonal, mu0: float, anti: bool):
@@ -49,6 +51,36 @@ def gauss_legendre(order: int, anti: bool = False):
     """
     i = np.arange(1.0, order + anti)
     return _golub_welsch(np.zeros(order + anti), i / np.sqrt(4.0 * i * i - 1.0), 2.0, anti)
+
+
+def adapt_pairs(what: str, evaluate, size: int, order: int, cap: int, rel_tol: float, describe):
+    """(values, orders, worst accepted estimate) of ``size`` integrals, each doubling its own order.
+
+    ``evaluate(rows, n)`` gives the n-node Gauss and the anti-Gauss estimates
+    G and A of the integrals ``rows``, whose errors are opposite to leading
+    order (``_golub_welsch``): a row's value is (G + A)/2, accepted once
+    |G - A|/2 <= rel_tol |value|, else n doubles.  Past ``cap`` a
+    ConvergenceError names ``what``, the order, the rows left, their worst
+    estimate and the diagnostics ``describe(rows)``.
+    """
+    n, pending = order, np.arange(size)
+    vals, orders, worst = np.empty(size), np.empty(size, dtype=int), 0.0
+    while True:
+        gauss, anti = evaluate(pending, n)
+        value = 0.5 * (gauss + anti)
+        estimate = 0.5 * np.abs(gauss - anti) / np.maximum(np.abs(value), 1e-300)
+        vals[pending], orders[pending] = value, n
+        converged = estimate <= rel_tol
+        worst = max(worst, float(estimate[converged].max(initial=0.0)))
+        pending = pending[~converged]
+        if pending.size == 0:
+            return vals, orders, worst
+        if 2 * n > cap:
+            raise ConvergenceError(
+                f"{what} did not converge within Gauss order {cap}", order=n,
+                unconverged=int(pending.size), worst_rel_delta=float(estimate[~converged].max()),
+                **describe(pending))
+        n *= 2
 
 
 def _end_slope(h0, h1, m0, m1):

@@ -156,8 +156,8 @@ class TestTable:
         result = run_cli("table", "--config", str(cfg))
         _assert_one_error_line(result, 3)
         missing = (tmp_path / "data" / "he_star_alpha.txt").resolve()
-        assert result.stderr == (f"error: {cfg}: referenced file does not exist or is not a "
-                                 f"file: {missing}\n")
+        assert result.stderr == (f"error: {cfg}: reference.atom: referenced file does not "
+                                 f"exist or is not a file: {missing}\n")
 
     def test_missing_variants_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -363,7 +363,8 @@ class TestExitCodes:
         ({"wall": dict(_METAL, drude={"omega_p_eV": 9.0, "nu_eV": 0.035},
                        high_exponent=math.nan)}, "exponent"),
         ({"tolerances": {"series_rel_tol": 1e-14}}, "series_rel_tol"),
-        ({"tolerances": {"max_terms": math.inf}}, "OverflowError"),
+        ({"tolerances": {"max_terms": math.inf}},
+         "tolerances.max_terms: expected a whole number, got inf"),
         ({"separations_nm": {"list": [10.0, math.inf]}}, "separations"),
         ({"grid": {"xi_min_eV": 0.1, "xi_max_eV": math.inf}}, "grid"),
         ({"kk": {"rel_tol": 1.0}}, "KK rel_tol"),
@@ -413,6 +414,67 @@ class TestExitCodes:
         _assert_one_error_line(result, 3)
         assert result.stderr.startswith(f"error: {cfg}: ")
         assert message in result.stderr
+
+    @pytest.mark.parametrize("case, message", [
+        ({"reference": {"atom": {"model": "static", "alpha0_au": 315.63},
+                        "wall": {"model": "plasma", "omega_p_eV": 9.0}},
+          "variants": [{"label": "v", "wall": {"model": "ideal_metal"}},
+                       {"label": "w", "wall": {"model": "plasma", "omega_p_eV": -8.0}}]},
+         "variants[1].wall: plasma frequency must be finite and positive"),
+        ({"grid": {"xi_min_eV": 10.0, "xi_max_eV": 1.0}},
+         "grid: grid needs 0 < xi_min < xi_max < inf and at least 2 points"),
+        ({"wall": {"model": "plasma", "omega_p_eV": -9.0}},
+         "wall: plasma frequency must be finite and positive"),
+        ({"atom": {"model": "static", "alpha0_au": -315.63}},
+         "atom: alpha0 must be finite and non-negative"),
+        ({"atom": {"model": "oscillators", "entries": [[1.2, 0.3], [-2.5, 0.7]]}},
+         f"atom: {_BAD_ENTRY}"),
+        ({"wall": dict(_METAL, drude={"omega_p_eV": 9.0, "nu_eV": -0.035})},
+         "wall.drude: Drude completion requires finite positive omega_p and nu"),
+        ({"wall": _METAL}, "wall: a metal table requires Drude completion parameters "
+                           "(omega_p, nu) for the dispersion transform below its first row"),
+        ({"tolerances": {"series_rel_tol": 1e-14}},
+         "tolerances: series_rel_tol must lie in [1e-13, 1)"),
+        ({"kk": {"rel_tol": 1.0}}, "kk: KK rel_tol must lie in [1e-13, 1e-2]"),
+    ], ids=["variant_wall", "grid", "wall", "atom", "oscillator_entry", "drude", "tabulated_wall",
+            "tolerances", "kk"])
+    def test_model_range_error_names_its_config_block(self, tmp_path, case, message):
+        _metal_wall(tmp_path)
+        doc = base_config(**case)
+        if "reference" in case:
+            del doc["atom"], doc["wall"]
+        cfg = write_config(tmp_path, doc)
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr == f"error: {cfg}: {message}\n"
+
+    def test_a_data_file_error_keeps_its_file_and_line(self, tmp_path):
+        (tmp_path / "bad.nk").write_text("".join(
+            f"{float(e)!r} 1.5 {-0.1 if i == 5 else 0.1}\n"
+            for i, e in enumerate(np.geomspace(0.1, 10.0, 12))))
+        cfg = write_config(tmp_path, base_config(
+            wall={"model": "tabulated", "file": "bad.nk", "kind": "dielectric"}))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr == (f"error: {tmp_path / 'bad.nk'}:6: "
+                                 "n and k must be finite and non-negative\n")
+
+    @pytest.mark.parametrize("case, where, value", [
+        ({"tolerances": {"max_terms": math.nan}}, "tolerances.max_terms", "nan"),
+        ({"tolerances": {"max_terms": -math.inf}}, "tolerances.max_terms", "-inf"),
+        ({"separations_nm": {"log_range": [3.0, 100.0, math.nan]}}, "separations_nm.log_range",
+         "nan"),
+        ({"separations_nm": {"log_range": [3.0, 100.0, math.inf]}}, "separations_nm.log_range",
+         "inf"),
+        ({"grid": {"xi_min_eV": 0.1, "xi_max_eV": 10.0, "points": math.nan}}, "grid.points",
+         "nan"),
+    ], ids=["nan_max_terms", "minus_inf_max_terms", "nan_log_range_count",
+            "inf_log_range_count", "nan_grid_points"])
+    def test_non_finite_count_is_named_by_its_key(self, tmp_path, case, where, value):
+        cfg = write_config(tmp_path, base_config(**case))
+        result = run_cli("sweep", "--config", str(cfg))
+        _assert_one_error_line(result, 3)
+        assert result.stderr == f"error: {cfg}: {where}: expected a whole number, got {value}\n"
 
     _DRUDE = {"omega_p_eV": 9.0, "nu_eV": 0.035}
     _REFERENCE = {"atom": {"model": "static", "alpha0_au": 315.63},

@@ -72,13 +72,13 @@ GOLDEN = {
     ('ideal_metal', 'oscillator', 4e-08): ('-0x1.259e2dc6ec778p-86', 49, 0),
     ('ideal_metal', 'oscillator', 1e-06): ('-0x1.b6ad425a50871p-103', 18, 0),
     ('ideal_metal', 'oscillator', 1e-05): ('-0x1.017f9d3a69d0ap-114', 2, 0),
-    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc178bp-73', 49, 98),
-    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928a9bp-85', 49, 98),
+    ('tabulated_drude', 'static', 3e-09): ('-0x1.e0258d8bc1785p-73', 49, 98),
+    ('tabulated_drude', 'static', 4e-08): ('-0x1.7b2823b928a99p-85', 49, 98),
     ('tabulated_drude', 'static', 1e-06): ('-0x1.b8fe188953844p-103', 18, 50),
     ('tabulated_drude', 'static', 1e-05): ('-0x1.0182a83a3f239p-114', 2, 25),
-    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d57b52p-75', 49, 98),
-    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52b44aep-87', 49, 98),
-    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e635ee7p-103', 18, 50),
+    ('tabulated_drude', 'oscillator', 3e-09): ('-0x1.4ccd726d57b4fp-75', 49, 98),
+    ('tabulated_drude', 'oscillator', 4e-08): ('-0x1.fe35dd52b44adp-87', 49, 98),
+    ('tabulated_drude', 'oscillator', 1e-06): ('-0x1.a7ff72e635eeap-103', 18, 50),
     ('tabulated_drude', 'oscillator', 1e-05): ('-0x1.017f8f758f46ap-114', 2, 25),
 }
 
@@ -123,8 +123,8 @@ def test_cli_output_bytes(tmp_path, command, name, fmt):
 # eps_grid of TabulatedKK(make_drude_table(), METAL) over the span of a 300 K
 # sum, read at 150 log-spaced points of that span
 GRID_PROBES = 150
-GRID_GOLDEN_SHA256 = "d436881abae65fbcd5f959134e0a2b33b0e409af1557197752030cc4e23851cf"
-GRID_GOLDEN = {0: "0x1.4072cc87e925dp+11", 37: "0x1.179f54a5e92cbp+4",
+GRID_GOLDEN_SHA256 = "dd523a98e75f8349280df62b777dd7103ed647861d2328b30a4040fe1609861a"
+GRID_GOLDEN = {0: "0x1.4072cc87e923fp+11", 37: "0x1.179f54a5e92c7p+4",
                74: "0x1.17340b99f5b73p+0", 111: "0x1.002043aa17b1fp+0",
                149: "0x1.000026ed6c945p+0"}
 
@@ -177,9 +177,9 @@ def _write_tabulated_configs(directory: Path):
 # (subcommand, format): sha256 of the output on the configs written above
 TABULATED_CLI_GOLDEN = {
     ("epsilon", "csv"): "a4de3cfb9d8e4e67a66fb4a601536418e1d1867b40f85435ad24e0cf732b1f08",
-    ("epsilon", "json"): "6f3858c7e5e2e7fb16dc56c123fa7b677a33322eae07acc5e344b19f9753a515",
+    ("epsilon", "json"): "4c5302656760f22bba42c0bb20c408afe849e8ddeba1b581f22db62676685c08",
     ("table", "csv"): "34550c24b89ef749611fd20754077de4c1cb887502cd0fa0411dce944a86c2a4",
-    ("table", "json"): "cc5bbb097b07cd06b147f583559c6d1dd21868f959301f45f724810b2dac63b4",
+    ("table", "json"): "e26f0363b973aa987844ce3b0443d9c6457b6b2813a8fa566462db2adda43514",
 }
 
 
